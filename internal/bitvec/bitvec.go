@@ -356,6 +356,27 @@ func (v Vector) Scatter(idx []int, src Vector) {
 	}
 }
 
+// ScatterOnes sets position idx[j] of v for every set bit j of src,
+// leaving v's other bits untouched. It walks src's set bits a word at a
+// time, so assembling a vector from disjoint index-listed parts costs one
+// OR per set bit rather than a Get and a Set per position. It panics if
+// len(idx) != src.Len() or a target position is out of range.
+func (v Vector) ScatterOnes(idx []int, src Vector) {
+	if len(idx) != src.n {
+		panic("bitvec: scatter length mismatch")
+	}
+	for wi, x := range src.words {
+		part := idx[wi*wordBits:]
+		for ; x != 0; x &= x - 1 {
+			i := part[bits.TrailingZeros64(x)]
+			if uint(i) >= uint(v.n) {
+				panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
+			}
+			v.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+		}
+	}
+}
+
 // HammingOn returns the number of positions in idx on which v and w differ.
 // It is equivalent to v.Gather(idx).Hamming(w.Gather(idx)) without the
 // allocations.

@@ -216,6 +216,38 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScatterOnesMatchesScatter: on a zero vector ScatterOnes equals
+// Scatter, and on a filled one it only ever adds bits — the disjoint-parts
+// assembly ZeroRadius and SmallRadius rely on.
+func TestScatterOnesMatchesScatter(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 100; trial++ {
+		n := 10 + r.Intn(300)
+		k := 1 + r.Intn(n)
+		idx := r.Perm(n)[:k]
+		src := randVec(r, k)
+		want := New(n)
+		want.Scatter(idx, src)
+		got := New(n)
+		got.ScatterOnes(idx, src)
+		if !got.Equal(want) {
+			t.Fatalf("n=%d k=%d: ScatterOnes differs from Scatter", n, k)
+		}
+		base := randVec(r, n)
+		or := base.Clone()
+		or.ScatterOnes(idx, src)
+		if !or.Equal(base.Or(want)) {
+			t.Fatalf("n=%d k=%d: ScatterOnes on a filled vector is not an OR", n, k)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range target did not panic")
+		}
+	}()
+	New(3).ScatterOnes([]int{3}, FromBits([]int{1}))
+}
+
 func TestHammingOn(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 100; trial++ {

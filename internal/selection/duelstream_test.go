@@ -21,8 +21,11 @@ func stridedObjs(m, stride int) []int {
 // TestDuelStreamMatchesSerial: the word-block streaming duel is
 // byte-identical to the bit-at-a-time reference — same verdict, same
 // probe charges, and the same coins consumed — across object mappings
-// (identity and strided), distances (equal, below budget, above budget),
-// and budgets (including the heap-spill regime past maxPairBudget).
+// (identity and strided), distances (equal, below budget, above budget,
+// and past maxRankBitmap, where the sorted rank list replaces the
+// bitmap), and budgets (the small protocol budgets below 24, which the
+// rank bitmap now serves on every mapping, and the heap-spill regime past
+// maxPairBudget).
 func TestDuelStreamMatchesSerial(t *testing.T) {
 	const n = 4
 	cases := []struct {
@@ -34,6 +37,7 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 		{"identity-odd", identityObjs(413), 413},
 		{"strided", stridedObjs(96, 7), 96 * 7},
 		{"tiny", identityObjs(40), 40},
+		{"wide", identityObjs(3 * maxRankBitmap), 3 * maxRankBitmap},
 	}
 	for _, tc := range cases {
 		mc := len(tc.objs)
@@ -47,9 +51,10 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 			{"near", 5},
 			{"mid", mc / 8},
 			{"far", mc / 2},
+			{"farthest", mc * 3 / 4},
 		}
 		for _, pb := range pairs {
-			for _, budget := range []int{4, 13, 200} {
+			for _, budget := range []int{4, 8, 13, 23, 200} {
 				a := truth.Clone()
 				b := flipped(truth, xrand.New(uint64(pb.flips)*3+1), pb.flips)
 				// Fresh, identical worlds per path so probe counters and
@@ -122,26 +127,37 @@ func TestRSelectStreamMatchesSerial(t *testing.T) {
 }
 
 // TestDuelStreamAllocFree: the word-block duel allocates nothing, on both
-// the identity and the batching (strided) paths.
+// the identity and the batching (strided) paths, at every budget the
+// protocol uses — the small Select budgets below 24 included, which draw
+// their ranks into the stack bitmap like every other budget — and on the
+// sorted-rank fallback for distances past maxRankBitmap.
 func TestDuelStreamAllocFree(t *testing.T) {
 	objs := stridedObjs(128, 5)
-	w := buildWorld(41, 2, 128*5)
+	w := buildWorld(41, 2, 3*maxRankBitmap)
 	truth := w.TruthVector(0).Gather(objs)
 	far := flipped(truth, xrand.New(3), 60)
+	wide := identityObjs(3 * maxRankBitmap)
 	rng := xrand.New(4)
 	for name, ctx := range map[string]*duelCtx{
 		"strided":  {w: w, p: 0, objs: objs},
 		"identity": {w: w, p: 0, objs: identityObjs(128*5 - 1), ident: true},
+		"wide":     {w: w, p: 0, objs: wide, ident: true},
 	} {
 		a, b := truth, far
-		if ctx.ident {
+		switch name {
+		case "identity":
 			a = w.TruthVector(0).Gather(ctx.objs)
 			b = flipped(a, xrand.New(5), 60)
+		case "wide":
+			a = w.TruthVector(0)
+			b = flipped(a, xrand.New(6), 2*maxRankBitmap)
 		}
-		if avg := testing.AllocsPerRun(50, func() {
-			duelProbesStream(ctx, a, b, rng, 13)
-		}); avg != 0 {
-			t.Fatalf("%s duel allocates %.1f times per run, want 0", name, avg)
+		for _, budget := range []int{4, 8, 13, 40} {
+			if avg := testing.AllocsPerRun(50, func() {
+				duelProbesStream(ctx, a, b, rng, budget)
+			}); avg != 0 {
+				t.Fatalf("%s duel at budget %d allocates %.1f times per run, want 0", name, budget, avg)
+			}
 		}
 	}
 }

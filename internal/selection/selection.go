@@ -14,11 +14,15 @@
 // without changing which objects are probed. Callers parallelize one level
 // up instead — SmallRadius and the final CalculatePreferences step run one
 // independent Select/RSelect per player on the run's executor (DESIGN.md
-// §9) — while inside a duel the probes stream whole 64-object word-blocks
-// (duelProbesStream, DESIGN.md §17), with the bit-at-a-time loop kept as
-// the byte-identity oracle behind Params.DuelSerial. Both functions take the read-only
-// *world.World rather than a *world.Run because they only probe (a
-// player's private act) and never publish protocol state.
+// §9). Inside a duel the work is a word at a time and allocation-free
+// (duelProbesStream, DESIGN.md §17 and §18): the differing positions come
+// from XOR words, a sampled duel draws its Floyd ranks into a stack
+// bitmap and maps each XOR word's slice of rank bits onto that word's set
+// bits in one pass, and the selected objects leave as one bulk probe per
+// world word. The bit-at-a-time loop stays as the byte-identity oracle
+// behind Params.DuelSerial. Both functions take the read-only *world.World
+// rather than a *world.Run because they only probe (a player's private
+// act) and never publish protocol state.
 package selection
 
 import (
@@ -181,30 +185,26 @@ func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac 
 // is honored in full via a heap buffer rather than silently truncated.
 const maxPairBudget = 128
 
-// maxRankBitmap bounds the stack bitmap the streaming path uses to track
-// Floyd's chosen ranks: when the pair distance fits, membership is a bit
-// test and the ascending rank order falls out of bit order for free,
-// replacing the serial oracle's O(budget²) rescan-and-sort bookkeeping.
-// Larger distances fall back to the oracle's exact bookkeeping, as do
-// budgets below minBitmapBudget, where the quadratic bookkeeping is
-// cheaper than zeroing the 512-byte bitmap every far duel.
-const (
-	maxRankBitmap   = 4096
-	minBitmapBudget = 24
-)
+// maxRankBitmap bounds the stack bitmap the streaming path draws Floyd's
+// ranks into: when the pair distance fits, membership is a bit test, the
+// ascending rank order is bit order, and each XOR word reads its slice of
+// rank bits in one shift — replacing the serial oracle's O(budget²)
+// rescan, its insertion sort and its per-rank restarted bit walk at every
+// budget. Larger distances keep a sorted rank list (still walked one XOR
+// word at a time).
+const maxRankBitmap = 4096
 
 // duelProbesSerial is the bit-at-a-time reference implementation of the
-// duel probes, kept verbatim as the byte-identity oracle for the streaming
-// path (Params.DuelSerial selects it). It probes up to budget objects on
+// duel probes, kept as the byte-identity oracle for the streaming path
+// (Params.DuelSerial selects it). It probes up to budget objects on
 // which a and b differ — all of them when there are at most budget,
 // otherwise a uniform distinct sample — and returns how many probed
 // objects agreed with a, plus the number probed. The differing positions
-// stream directly from the XOR of the candidates' words and the sample
-// ranks live in a fixed stack buffer (budgets beyond maxPairBudget spill
-// to a heap buffer and are honored in full), so a duel normally allocates
-// nothing. The rank sample is Floyd's algorithm with the same draws
-// xrand.Stream.Sample makes, so the probed set is bit-for-bit the one the
-// list-based implementation chose.
+// stream directly from the XOR of the candidates' words, the sample ranks
+// are a sorted list (sortedFloydRanks), and every sampled position is
+// found by its own walk over its word's set bits. The rank sample is
+// Floyd's algorithm with the same draws xrand.Stream.Sample makes, so the
+// probed set is bit-for-bit the one the list-based implementation chose.
 func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
 	d := a.Hamming(b)
 	if d == 0 {
@@ -224,31 +224,12 @@ func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng
 		return agreeA, d
 	}
 	// Floyd's sample of budget distinct ranks in [0,d), identical to
-	// xrand.Stream.Sample(d, budget) draw for draw.
+	// xrand.Stream.Sample(d, budget) draw for draw, in ascending rank (=
+	// ascending position) order, matching the sorted sample of the
+	// list-based implementation.
 	var buf [maxPairBudget]int
-	ranks := buf[:]
-	if budget > maxPairBudget {
-		ranks = make([]int, budget)
-	}
-	cnt := 0
-	for j := d - budget; j < d; j++ {
-		t := rng.Intn(j + 1)
-		for i := 0; i < cnt; i++ {
-			if ranks[i] == t {
-				t = j
-				break
-			}
-		}
-		ranks[cnt] = t
-		cnt++
-	}
-	// Insertion sort: probe in ascending rank (= ascending position) order,
-	// matching the sorted sample of the list-based implementation.
-	for i := 1; i < cnt; i++ {
-		for k := i; k > 0 && ranks[k] < ranks[k-1]; k-- {
-			ranks[k], ranks[k-1] = ranks[k-1], ranks[k]
-		}
-	}
+	ranks := sortedFloydRanks(rng, d, budget, buf[:0])
+	cnt := len(ranks)
 	// Walk the XOR words once, selecting the positions with the sampled
 	// ranks among the set bits.
 	ri, seen := 0, 0
@@ -280,8 +261,11 @@ func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng
 // the XOR words — but where the serial path fetches each selected position
 // with its own Probe (an atomic memo update and a truth read per bit), the
 // streaming walk accumulates every selected position of a word into a mask
-// and fetches it with a single bulk ProbeWord: one CAS, one truth-word
-// read, and one popcount compare for up to 64 objects. Identity object
+// and fetches it with a single bulk ProbeWord: one CAS, one masked truth
+// read, and one popcount compare for up to 64 objects. Sampled ranks live
+// in a stack bitmap (maxRankBitmap), so a word's selected positions come
+// from one rank-slice read and one pass over the word's set bits
+// (rankSlice, selectBits) rather than a restarted walk per rank. Identity object
 // mappings (the final selection) map candidate words straight onto world
 // words; general mappings batch runs of positions sharing a world word
 // (wordProber). Probe charging is identical bit for bit: ProbeWord charges
@@ -312,101 +296,134 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 		}
 		bp := wordProber{w: w, p: p, objs: ctx.objs, a: a, curW: -1}
 		for wi := 0; wi < nw; wi++ {
-			for x := a.Word(wi) ^ b.Word(wi); x != 0; x &= x - 1 {
-				bp.add(wi*64 + bits.TrailingZeros64(x))
-			}
+			bp.addWord(wi, a.Word(wi)^b.Word(wi))
 		}
 		bp.flush()
 		return bp.agree, d
 	}
 	// Floyd's sample of budget distinct ranks in [0,d) — draw-for-draw the
-	// serial implementation's coins. The chosen set is identical; only the
-	// bookkeeping differs: when d fits the stack bitmap, membership is one
-	// bit test instead of the serial path's linear rescan, and the ascending
-	// order falls out of bit order with no sort. (Floyd's invariant makes
-	// the fallback value j always fresh: earlier draws were bounded by
-	// earlier, smaller j.)
-	var buf [maxPairBudget]int
-	ranks := buf[:]
-	if budget > maxPairBudget {
-		ranks = make([]int, budget)
-	}
-	cnt := 0
-	if budget >= minBitmapBudget && d <= maxRankBitmap {
-		var rb [maxRankBitmap / 64]uint64
-		rw := (d + 63) / 64
+	// serial implementation's coins, so the chosen set is identical; only
+	// the bookkeeping differs. (Floyd's invariant makes the fallback value
+	// j always fresh: earlier draws were bounded by earlier, smaller j.)
+	var rb [maxRankBitmap / 64]uint64
+	var ranks []int
+	if d <= maxRankBitmap {
 		for j := d - budget; j < d; j++ {
 			t := rng.Intn(j + 1)
 			if rb[t>>6]>>(uint(t)&63)&1 == 1 {
 				t = j
 			}
 			rb[t>>6] |= 1 << (uint(t) & 63)
-			cnt++
-		}
-		cnt = 0
-		for i := 0; i < rw; i++ {
-			for x := rb[i]; x != 0; x &= x - 1 {
-				ranks[cnt] = i*64 + bits.TrailingZeros64(x)
-				cnt++
-			}
 		}
 	} else {
-		for j := d - budget; j < d; j++ {
-			t := rng.Intn(j + 1)
-			for i := 0; i < cnt; i++ {
-				if ranks[i] == t {
-					t = j
-					break
-				}
-			}
-			ranks[cnt] = t
-			cnt++
-		}
-		for i := 1; i < cnt; i++ {
-			for k := i; k > 0 && ranks[k] < ranks[k-1]; k-- {
-				ranks[k], ranks[k-1] = ranks[k-1], ranks[k]
-			}
-		}
+		var buf [maxPairBudget]int
+		ranks = sortedFloydRanks(rng, d, budget, buf[:0])
 	}
-	// Walk the XOR words once like the serial path, but collapse all ranks
-	// landing in one word into a single bulk fetch.
-	ri, seen := 0, 0
+	// Walk the XOR words once, as the serial path does. The set bits of
+	// word wi hold ranks [seen, seen+c); the sampled ones among them form
+	// the word's rank slice, which selectBits maps back onto positions, so
+	// every word's probes leave as one bulk fetch.
+	ri, seen, left := 0, 0, budget
 	if ctx.ident {
-		for wi := 0; wi < nw && ri < cnt; wi++ {
+		for wi := 0; wi < nw && left > 0; wi++ {
 			aw := a.Word(wi)
 			x := aw ^ b.Word(wi)
-			c := bits.OnesCount64(x)
-			if ri < cnt && ranks[ri]-seen < c {
-				var mask uint64
-				for ; ri < cnt && ranks[ri]-seen < c; ri++ {
-					y := x
-					for k := ranks[ri] - seen; k > 0; k-- {
-						y &= y - 1
-					}
-					mask |= y & -y
-				}
-				tw := w.ProbeWord(p, wi, mask)
-				agreeA += bits.OnesCount64(^(tw ^ aw) & mask)
+			if x == 0 {
+				continue
 			}
-			seen += c
+			var r uint64
+			r, ri = rankSlice(&rb, ranks, ri, seen, x)
+			seen += bits.OnesCount64(x)
+			if r == 0 {
+				continue
+			}
+			left -= bits.OnesCount64(r)
+			mask := selectBits(x, r)
+			tw := w.ProbeWord(p, wi, mask)
+			agreeA += bits.OnesCount64(^(tw ^ aw) & mask)
 		}
-		return agreeA, cnt
+		return agreeA, budget
 	}
 	bp := wordProber{w: w, p: p, objs: ctx.objs, a: a, curW: -1}
-	for wi := 0; wi < nw && ri < cnt; wi++ {
+	for wi := 0; wi < nw && left > 0; wi++ {
 		x := a.Word(wi) ^ b.Word(wi)
-		c := bits.OnesCount64(x)
-		for ; ri < cnt && ranks[ri]-seen < c; ri++ {
-			y := x
-			for k := ranks[ri] - seen; k > 0; k-- {
-				y &= y - 1
-			}
-			bp.add(wi*64 + bits.TrailingZeros64(y))
+		if x == 0 {
+			continue
 		}
-		seen += c
+		var r uint64
+		r, ri = rankSlice(&rb, ranks, ri, seen, x)
+		seen += bits.OnesCount64(x)
+		if r == 0 {
+			continue
+		}
+		left -= bits.OnesCount64(r)
+		bp.addWord(wi, selectBits(x, r))
 	}
 	bp.flush()
-	return bp.agree, cnt
+	return bp.agree, budget
+}
+
+// sortedFloydRanks is the serial oracle's rank bookkeeping for distances
+// past the stack bitmap: Floyd's sample with a linear membership rescan,
+// then an insertion sort into ascending order. The ranks are appended to
+// buf; budgets beyond its capacity grow it on the heap and are honored in
+// full.
+func sortedFloydRanks(rng *xrand.Stream, d, budget int, buf []int) []int {
+	ranks := buf
+	for j := d - budget; j < d; j++ {
+		t := rng.Intn(j + 1)
+		for _, r := range ranks {
+			if r == t {
+				t = j
+				break
+			}
+		}
+		ranks = append(ranks, t)
+	}
+	for i := 1; i < len(ranks); i++ {
+		for k := i; k > 0 && ranks[k] < ranks[k-1]; k-- {
+			ranks[k], ranks[k-1] = ranks[k-1], ranks[k]
+		}
+	}
+	return ranks
+}
+
+// rankSlice returns the sampled ranks among the set bits of XOR word x,
+// which hold ranks [seen, seen+popcount(x)), as a word whose bit k marks
+// x's k-th set bit (0 = lowest). A nil ranks list reads the slice straight
+// out of the rank bitmap rb; otherwise it consumes the sorted list from
+// index ri and returns the advanced index.
+func rankSlice(rb *[maxRankBitmap / 64]uint64, ranks []int, ri, seen int, x uint64) (uint64, int) {
+	c := bits.OnesCount64(x)
+	var r uint64
+	if ranks == nil {
+		i, off := seen>>6, uint(seen)&63
+		r = rb[i] >> off
+		if off != 0 && i+1 < len(rb) {
+			r |= rb[i+1] << (64 - off)
+		}
+		if c < 64 {
+			r &= 1<<uint(c) - 1
+		}
+		return r, ri
+	}
+	for ; ri < len(ranks) && ranks[ri]-seen < c; ri++ {
+		r |= 1 << uint(ranks[ri]-seen)
+	}
+	return r, ri
+}
+
+// selectBits returns the set bits of x whose ordinal among x's set bits
+// (0 = lowest) is set in r, stepping through x's set bits once.
+func selectBits(x, r uint64) uint64 {
+	var mask uint64
+	for ; r != 0; r >>= 1 {
+		if r&1 != 0 {
+			mask |= x & -x
+		}
+		x &= x - 1
+	}
+	return mask
 }
 
 // wordProber batches probes of a general (non-identity) object mapping:
@@ -438,6 +455,14 @@ func (bp *wordProber) add(j int) {
 	bp.mask |= 1 << (uint(o) & 63)
 	bp.pjs[bp.pn] = int32(j)
 	bp.pn++
+}
+
+// addWord stages every candidate position whose bit is set in mask within
+// candidate word wi (words ascending across calls).
+func (bp *wordProber) addWord(wi int, mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		bp.add(wi*64 + bits.TrailingZeros64(mask))
+	}
 }
 
 // flush probes the staged word in bulk and tallies agreements with a.

@@ -79,8 +79,10 @@ func Scaled(n int) Params {
 	return p
 }
 
-// groups partitions positions [0,len(objs)) into s groups using shared
-// randomness, returning the group index of each position.
+// numGroups returns s, the number of object groups a repetition
+// partitions objs into for diameter bound d: ⌈SubsetScale·d^SubsetExp⌉,
+// lowered so each group keeps at least MinGroupObjects objects, and never
+// below 1.
 func (pr Params) numGroups(d, numObjs int) int {
 	if d < 1 {
 		d = 1
@@ -137,8 +139,9 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 		return out
 	}
 
-	// candidates[p] accumulates one concatenated vector per repetition.
-	candidates := make(map[int][]bitvec.Vector, len(honest))
+	// candidates[i] accumulates one concatenated vector per repetition for
+	// player honest[i].
+	candidates := make([][]bitvec.Vector, len(honest))
 
 	allPlayers := make([]int, n)
 	for i := range allPlayers {
@@ -167,16 +170,10 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 		}
 
 		// Per-group ZeroRadius over all players, in parallel across groups.
-		type groupResult struct {
-			positions []int
-			objs      []int           // global ids, computed once per group
-			ui        []bitvec.Vector // supported candidate vectors
-			outputs   map[int]bitvec.Vector
-		}
-		results := par.MapOn(rc.Exec(), s, func(g int) groupResult {
+		groups := par.MapOn(rc.Exec(), s, func(g int) group {
 			positions := groupPositions[g]
 			if len(positions) == 0 {
-				return groupResult{}
+				return group{}
 			}
 			groupObjs := make([]int, len(positions))
 			for i, j := range positions {
@@ -212,51 +209,22 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 			for _, k := range keys {
 				ui = append(ui, byKey[k])
 			}
-			return groupResult{positions: positions, objs: groupObjs, ui: ui, outputs: zr}
+			return group{positions: positions, objs: groupObjs, ui: ui, outputs: zr}
 		})
 
 		// Each honest player selects a vector per group and concatenates.
-		// The group object lists were computed once above (rebuilding them
-		// per (player, group) is pure allocation), and the per-player
-		// selection stream stays on the stack.
 		repCandidates := par.MapOn(rc.Exec(), len(honest), func(i int) bitvec.Vector {
-			p := honest[i]
-			full := bitvec.New(len(objs))
-			selRng := repRng.SplitValue(0xC0FFEE, uint64(p))
-			for g := range results {
-				res := &results[g]
-				if len(res.positions) == 0 {
-					continue
-				}
-				var chosen bitvec.Vector
-				switch {
-				case len(res.ui) > 0:
-					idx := selection.Select(rc.World, p, res.objs, res.ui, dGroup, &selRng, pr.Sel)
-					chosen = res.ui[idx]
-				case res.outputs[p].Len() > 0:
-					// No supported candidate (assumption violated for this
-					// group); fall back to the player's own ZeroRadius output.
-					chosen = res.outputs[p]
-				default:
-					chosen = bitvec.New(len(res.positions))
-				}
-				for k, j := range res.positions {
-					if chosen.Get(k) {
-						full.Set(j, true)
-					}
-				}
-			}
-			return full
+			return selectConcat(rc.World, honest[i], len(objs), groups, dGroup, repRng, pr.Sel)
 		})
-		for i, p := range honest {
-			candidates[p] = append(candidates[p], repCandidates[i])
+		for i := range honest {
+			candidates[i] = append(candidates[i], repCandidates[i])
 		}
 	}
 
 	// Final per-player selection among the repetition candidates.
 	finals := par.MapOn(rc.Exec(), len(honest), func(i int) bitvec.Vector {
 		p := honest[i]
-		cands := candidates[p]
+		cands := candidates[i]
 		selRng := shared.SplitValue(0xF1A7, uint64(p))
 		idx := selection.Select(rc.World, p, objs, cands, d, &selRng, pr.Sel)
 		if idx < 0 {
@@ -268,4 +236,39 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 		out[p] = finals[i]
 	}
 	return out
+}
+
+// group is one repetition's per-group ZeroRadius result.
+type group struct {
+	positions []int           // positions within objs, ascending
+	objs      []int           // global ids, computed once per group
+	ui        []bitvec.Vector // supported candidate vectors, U_g
+	outputs   []bitvec.Vector // ZeroRadius outputs, indexed by player id
+}
+
+// selectConcat is honest player p's step of one repetition: select a
+// vector per group and concatenate the choices over the numObjs objects
+// by scattering each choice's set bits through its group's positions. The
+// group object lists are computed once per repetition and the selection
+// stream lives on the stack, so the returned vector is the only
+// allocation (TestSelectConcatAllocs).
+func selectConcat(w *world.World, p, numObjs int, groups []group, dGroup int, repRng *xrand.Stream, pr selection.Params) bitvec.Vector {
+	full := bitvec.New(numObjs)
+	selRng := repRng.SplitValue(0xC0FFEE, uint64(p))
+	for g := range groups {
+		res := &groups[g]
+		if len(res.positions) == 0 {
+			continue
+		}
+		// Without a supported candidate (assumption violated for this
+		// group), fall back to the player's own ZeroRadius output.
+		chosen := res.outputs[p]
+		if len(res.ui) > 0 {
+			chosen = res.ui[selection.Select(w, p, res.objs, res.ui, dGroup, &selRng, pr)]
+		}
+		if chosen.Len() > 0 {
+			full.ScatterOnes(res.positions, chosen)
+		}
+	}
+	return full
 }

@@ -64,38 +64,33 @@ func Scaled() Params { return Params{BaseFactor: 2, BaseObjects: 16, VoteDivisor
 // are split from it per player id, which is harmless because elimination
 // probes are verified against the player's own truth.
 //
-// The result maps player id → output vector indexed like objs. Honest
-// players in qualifying zero-radius clusters receive their true preferences
-// whp; other players receive best-effort vectors.
+// The result is indexed by player id (length rc.N(); nil when P is empty):
+// entry p, for p in P, is p's output vector indexed like objs, and every
+// other entry is the zero Vector. Honest players in qualifying zero-radius
+// clusters receive their true preferences whp; other players receive
+// best-effort vectors.
 //
 // The recursion's two halves and every per-player loop (base-case reports,
 // cross-fill elimination, vector assembly) fan out on rc's executor with
-// per-branch split streams and index-ordered merges, so fixed-seed output
-// is byte-identical under any schedule (DESIGN.md §9).
-func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params) map[int]bitvec.Vector {
+// per-branch split streams. Every node writes only the entries of its own
+// players, and sibling nodes own disjoint players, so the branches share
+// the one output slice without a lock, and fixed-seed output is
+// byte-identical under any schedule (DESIGN.md §9).
+func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params) []bitvec.Vector {
 	if bPrime < 1 {
 		bPrime = 1
 	}
-	out := make(map[int]bitvec.Vector, len(P))
-	var mu chanLock
-	run(rc, P, objs, bPrime, shared, pr, out, &mu, 0)
+	if len(P) == 0 {
+		return nil
+	}
+	out := make([]bitvec.Vector, rc.N())
+	run(rc, P, objs, bPrime, shared, pr, out, 0)
 	return out
 }
 
-// chanLock is a tiny mutex used to guard the shared output map during the
-// parallel recursion; a channel of capacity 1 keeps the dependency surface
-// stdlib-only and is uncontended in practice (writes are batched per call).
-type chanLock struct{ ch chan struct{} }
-
-func (l *chanLock) lock() {
-	if l.ch == nil {
-		l.ch = make(chan struct{}, 1)
-	}
-	l.ch <- struct{}{}
-}
-func (l *chanLock) unlock() { <-l.ch }
-
-func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params, out map[int]bitvec.Vector, mu *chanLock, depth int) {
+// run solves one recursion node: on return, out[p] holds player p's vector
+// over objs for every p in P.
+func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params, out []bitvec.Vector, depth int) {
 	n := rc.N()
 	basePlayers := int(math.Ceil(pr.BaseFactor * float64(bPrime) * math.Log(float64(n)+2)))
 	if basePlayers < 2 {
@@ -108,75 +103,60 @@ func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, p
 	if baseObjects < 2 {
 		baseObjects = 2
 	}
-	if len(P) == 0 {
-		return
-	}
 	if len(P) <= basePlayers || len(objs) <= baseObjects {
 		// Base case: every player reports every object directly.
-		results := par.MapOn(rc.Exec(), len(P), func(i int) bitvec.Vector {
-			return rc.ReportVector(P[i], objs)
-		})
-		mu.lock()
-		for i, p := range P {
-			out[p] = results[i]
-		}
-		mu.unlock()
+		rc.Exec().For(len(P), func(i int) { out[P[i]] = rc.ReportVector(P[i], objs) })
 		return
 	}
 
 	// Shared random partition of players and objects into halves. Derive a
-	// child stream per recursion node so parallel branches do not race.
+	// child stream per recursion node so parallel branches do not race. The
+	// objects split as positions within objs (same coins, one per object),
+	// so each half's position list is also the index list that places its
+	// vectors back into objs.
 	nodeRng := shared.Split(uint64(depth), uint64(len(P)), uint64(len(objs)))
 	p0, p1 := splitHalf(nodeRng, P)
-	o0, o1 := splitHalf(nodeRng, objs)
+	pos := make([]int, len(objs))
+	for j := range pos {
+		pos[j] = j
+	}
+	j0, j1 := splitHalf(nodeRng, pos)
+	o0, o1 := gather(objs, j0), gather(objs, j1)
 
 	// Recurse on both halves in parallel.
-	sub0 := make(map[int]bitvec.Vector, len(p0))
-	sub1 := make(map[int]bitvec.Vector, len(p1))
-	var mu0, mu1 chanLock
 	rc.Exec().Do(
-		func() { run(rc, p0, o0, bPrime, nodeRng.Split(0), pr, sub0, &mu0, depth+1) },
-		func() { run(rc, p1, o1, bPrime, nodeRng.Split(1), pr, sub1, &mu1, depth+1) },
+		func() { run(rc, p0, o0, bPrime, nodeRng.Split(0), pr, out, depth+1) },
+		func() { run(rc, p1, o1, bPrime, nodeRng.Split(1), pr, out, depth+1) },
 	)
 
 	// Cross-fill: players of each half learn the other half's objects from
-	// the vectors published by the other half's players.
-	cross0 := crossFill(rc, p0, o1, sub1, p1, bPrime, pr) // P0 learns O1
-	cross1 := crossFill(rc, p1, o0, sub0, p0, bPrime, pr) // P1 learns O0
+	// the vectors published by the other half's players. Both run before
+	// either half's assembly overwrites its players' entries.
+	cross0 := crossFill(rc, p0, o1, out, p1, bPrime, pr) // P0 learns O1
+	cross1 := crossFill(rc, p1, o0, out, p0, bPrime, pr) // P1 learns O0
 
-	// Assemble full vectors over objs for every player.
-	pos := make(map[int]int, len(objs))
-	for j, o := range objs {
-		pos[o] = j
-	}
-	assemble := func(P []int, own map[int]bitvec.Vector, ownObjs []int, cross map[int]bitvec.Vector, crossObjs []int) {
-		results := par.MapOn(rc.Exec(), len(P), func(i int) bitvec.Vector {
+	// Assemble full vectors over objs by scattering the set bits of each
+	// player's own-half and cross-half vectors through the position lists.
+	assemble := func(P []int, own, other []int, cross []bitvec.Vector) {
+		rc.Exec().For(len(P), func(i int) {
 			p := P[i]
 			v := bitvec.New(len(objs))
-			if ov, ok := own[p]; ok {
-				for j, o := range ownObjs {
-					if ov.Get(j) {
-						v.Set(pos[o], true)
-					}
-				}
-			}
-			if cv, ok := cross[p]; ok {
-				for j, o := range crossObjs {
-					if cv.Get(j) {
-						v.Set(pos[o], true)
-					}
-				}
-			}
-			return v
+			v.ScatterOnes(own, out[p])
+			v.ScatterOnes(other, cross[i])
+			out[p] = v
 		})
-		mu.lock()
-		for i, p := range P {
-			out[p] = results[i]
-		}
-		mu.unlock()
 	}
-	assemble(p0, sub0, o0, cross0, o1)
-	assemble(p1, sub1, o1, cross1, o0)
+	assemble(p0, j0, j1, cross0)
+	assemble(p1, j1, j0, cross1)
+}
+
+// gather returns xs[idx[0]], xs[idx[1]], ….
+func gather(xs, idx []int) []int {
+	out := make([]int, len(idx))
+	for i, j := range idx {
+		out[i] = xs[j]
+	}
+	return out
 }
 
 // splitHalf partitions xs into two halves using independent fair coins,
@@ -208,8 +188,8 @@ type candidate struct {
 }
 
 // crossFill computes, for every player in learners, its vector over objs
-// from the vectors published by the players in publishers (whose outputs
-// over objs are in pub).
+// from the vectors published by the players in publishers (publisher q's
+// output over objs is pub[q]). The result is indexed like learners.
 //
 // Candidate selection: the paper admits vectors with support
 // ≥ |publishers|/(VoteDivisor·B'), which bounds the candidate count by
@@ -219,14 +199,11 @@ type candidate struct {
 // top 2B' vectors by support. The candidate count stays O(B') — the probe
 // budget of the elimination loop is unchanged — and the elimination probes
 // discard any junk this lets in.
-func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vector, publishers []int, bPrime int, pr Params) map[int]bitvec.Vector {
+func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, publishers []int, bPrime int, pr Params) []bitvec.Vector {
 	// Tally distinct published vectors.
 	tally := make(map[string]*candidate)
 	for _, q := range publishers {
-		v, ok := pub[q]
-		if !ok {
-			continue
-		}
+		v := pub[q]
 		k := v.Key()
 		if c, ok := tally[k]; ok {
 			c.support++
@@ -258,8 +235,7 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vec
 		}
 	}
 
-	out := make(map[int]bitvec.Vector, len(learners))
-	results := par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
+	return par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
 		p := learners[i]
 		if !rc.IsHonest(p) {
 			// A dishonest player publishes its strategy's claims rather
@@ -268,11 +244,13 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vec
 		}
 		return eliminate(rc, p, objs, cands)
 	})
-	for i, p := range learners {
-		out[p] = results[i]
-	}
-	return out
 }
+
+// maxStackCands is the candidate count eliminate filters in its stack
+// buffer. Candidate sets are O(B') — at most VoteDivisor·B' supported
+// vectors plus the top 2B' — so real configurations fit; larger sets
+// spill to one heap buffer per call.
+const maxStackCands = 128
 
 // eliminate runs the probe-to-disambiguate loop of Figure 1 step 5 for one
 // player: while surviving candidates disagree somewhere, probe such an
@@ -284,9 +262,17 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vec
 // have diameter ≈1, not 0) the player may personally deviate from its
 // cluster's modal vector on a probed object, which would eliminate every
 // candidate. A probe that would empty the survivor set is therefore treated
-// as the player's own idiosyncrasy: the probe result is recorded but the
-// survivors are kept. The final survivor is the one agreeing best with all
-// recorded probes.
+// as the player's own idiosyncrasy: the probe is charged but the survivors
+// are kept, minus one to guarantee progress.
+//
+// The survivors are candidate indices filtered in place in a stack buffer,
+// so the loop allocates nothing. The winner is the first survivor: every
+// probe leaves the survivors unanimous on the probed object (all agreeing
+// with the probe, or all contradicting it when none agreed), so all final
+// survivors agree equally well with every probe, and the first of them is
+// the best-agreeing survivor. The winner is returned as-is: candidate
+// vectors are shared, immutable inputs, and every downstream consumer only
+// reads them.
 func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
 	if len(objs) == 0 {
 		return bitvec.New(0)
@@ -294,22 +280,28 @@ func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.V
 	if len(cands) == 0 {
 		return bitvec.New(len(objs))
 	}
-	// One survivor buffer filtered in place per probe — the per-iteration
-	// `next` slice was an allocation per elimination probe per learner.
-	survivors := make([]bitvec.Vector, len(cands))
-	copy(survivors, cands)
-	probed := make(map[int]bool, 8) // position → probed truth
-	for len(survivors) > 1 {
-		j := firstDisagreement(survivors)
+	var buf [maxStackCands]int32
+	alive := buf[:0]
+	if len(cands) > len(buf) {
+		alive = make([]int32, 0, len(cands))
+	}
+	for i := range cands {
+		alive = append(alive, int32(i))
+	}
+	for len(alive) > 1 {
+		j := firstDisagreement(cands, alive)
 		if j < 0 {
 			break // all survivors identical on objs
 		}
-		truth := rc.Probe(p, objs[j])
-		probed[j] = truth
+		var truth uint64
+		if rc.Probe(p, objs[j]) {
+			truth = 1
+		}
+		wi, bit := j/64, uint(j)%64
 		k := 0
-		for _, c := range survivors {
-			if c.Get(j) == truth {
-				survivors[k] = c
+		for _, c := range alive {
+			if cands[c].Word(wi)>>bit&1 == truth {
+				alive[k] = c
 				k++
 			}
 		}
@@ -317,37 +309,20 @@ func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.V
 			// Own deviation from every candidate at j: keep the survivors
 			// minus one arbitrary loser to guarantee progress. (No matches
 			// means no in-place writes happened, so the prefix is intact.)
-			k = len(survivors) - 1
+			k = len(alive) - 1
 		}
-		survivors = survivors[:k]
+		alive = alive[:k]
 	}
-	// Pick the survivor that agrees best with everything probed. The
-	// winner is returned as-is: candidate vectors are shared, immutable
-	// inputs, and every downstream consumer only reads them.
-	best, bestScore := survivors[0], -1
-	for _, c := range survivors {
-		score := 0
-		for j, truth := range probed {
-			if c.Get(j) == truth {
-				score++
-			}
-		}
-		if score > bestScore {
-			best, bestScore = c, score
-		}
-	}
-	return best
+	return cands[alive[0]]
 }
 
-// firstDisagreement returns an index where at least two of the vectors
-// differ, or -1 if all vectors are identical. FirstDiff scans words and
-// allocates nothing — this runs once per elimination probe per learner,
-// and materializing every difference (DiffIndices) just to take the first
-// was the elimination loop's main allocation.
-func firstDisagreement(vs []bitvec.Vector) int {
-	base := vs[0]
-	for _, v := range vs[1:] {
-		if d := base.FirstDiff(v); d >= 0 {
+// firstDisagreement returns an index where at least two of the surviving
+// candidates differ, or -1 if they are all identical. FirstDiff scans
+// words and allocates nothing.
+func firstDisagreement(cands []bitvec.Vector, alive []int32) int {
+	base := cands[alive[0]]
+	for _, i := range alive[1:] {
+		if d := base.FirstDiff(cands[i]); d >= 0 {
 			return d
 		}
 	}
