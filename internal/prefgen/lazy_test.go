@@ -47,7 +47,8 @@ func lazyCases(clusterSize, numClusters, diameter int, alpha float64) []lazyCase
 
 // requireLazyMatchesDense pins the whole lazy contract against the dense
 // oracle for one (generator, size, seed, tiles) point: identical planted
-// metadata, every TruthWord and TruthBit equal to the materialized matrix,
+// metadata, every full word, masked word and single bit equal to the
+// materialized matrix,
 // and identical post-generation stream state (so downstream split/draw
 // sequences cannot diverge between representations).
 func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, tiles int) {
@@ -82,20 +83,26 @@ func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, ti
 	for p := 0; p < n; p++ {
 		want := dense.Truth[p]
 		for wi := 0; wi < words; wi++ {
-			if got := src.TruthWord(p, wi); got != want.Word(wi) {
-				t.Fatalf("%s seed=%d: TruthWord(%d,%d) = %#x, want %#x", c.name, seed, p, wi, got, want.Word(wi))
+			if got := fullWord(src, p, wi); got != want.Word(wi) {
+				t.Fatalf("%s seed=%d: word (%d,%d) = %#x, want %#x", c.name, seed, p, wi, got, want.Word(wi))
 			}
 		}
 		if !Materialize(src, p).Equal(want) {
 			t.Fatalf("%s seed=%d: materialized row %d differs from dense", c.name, seed, p)
 		}
 	}
-	// Spot-check the single-bit path (it has its own cacheless fast path).
+	// Spot-check single bits and sparse masks (cacheless reads hash only
+	// the masked coins).
 	probe := xrand.New(seed ^ 0xbeef)
 	for i := 0; i < 200; i++ {
 		p, o := probe.Intn(n), probe.Intn(m)
-		if src.TruthBit(p, o) != dense.Truth[p].Get(o) {
-			t.Fatalf("%s seed=%d: TruthBit(%d,%d) mismatch", c.name, seed, p, o)
+		if (src.TruthBits(p, o/64, 1<<uint(o%64)) != 0) != dense.Truth[p].Get(o) {
+			t.Fatalf("%s seed=%d: bit (%d,%d) mismatch", c.name, seed, p, o)
+		}
+		wi := probe.Intn(words)
+		mask := probe.Uint64() & probe.Uint64()
+		if got, want := src.TruthBits(p, wi, mask), dense.Truth[p].Word(wi)&mask; got != want {
+			t.Fatalf("%s seed=%d: TruthBits(%d,%d,%#x) = %#x, want %#x", c.name, seed, p, wi, mask, got, want)
 		}
 	}
 }
@@ -177,6 +184,9 @@ func TestLazyPooledMatchesFresh(t *testing.T) {
 // TruthSource: any (seed, player, word) read returns the same bits on every
 // call, regardless of read order, interleaving, or cache state. quick.Check
 // drives random read schedules against first-read snapshots.
+// fullWord reads all 64 truth bits of player p's object word wi.
+func fullWord(src TruthSource, p, wi int) uint64 { return src.TruthBits(p, wi, ^uint64(0)) }
+
 func TestLazyReadsAreReproducible(t *testing.T) {
 	const n, m = 30, 200
 	words := (m + 63) / 64
@@ -186,16 +196,16 @@ func TestLazyReadsAreReproducible(t *testing.T) {
 	err := quick.Check(func(seed uint64, rawP, rawWi uint16, tiles uint8) bool {
 		p, wi := int(rawP)%n, int(rawWi)%words
 		cached := build(seed, int(tiles)%8)
-		first := cached.Source().TruthWord(p, wi)
+		first := fullWord(cached.Source(), p, wi)
 		// Re-read after unrelated reads have churned the tile cache.
 		for i := 0; i < 50; i++ {
-			cached.Source().TruthWord((p*7+i)%n, (wi+i)%words)
+			fullWord(cached.Source(), (p*7+i)%n, (wi+i)%words)
 		}
-		if cached.Source().TruthWord(p, wi) != first {
+		if fullWord(cached.Source(), p, wi) != first {
 			return false
 		}
 		// A separately constructed source over the same seed agrees too.
-		return build(seed, 0).Source().TruthWord(p, wi) == first
+		return fullWord(build(seed, 0).Source(), p, wi) == first
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +224,12 @@ func TestLazyTileCacheMatchesCacheless(t *testing.T) {
 	order := xrand.New(7)
 	for i := 0; i < 5000; i++ {
 		p, wi := order.Intn(n), order.Intn((m+63)/64)
-		want := cacheless.TruthWord(p, wi)
-		if got := tiny.TruthWord(p, wi); got != want {
-			t.Fatalf("tiny cache: TruthWord(%d,%d) = %#x, want %#x", p, wi, got, want)
+		want := fullWord(cacheless, p, wi)
+		if got := fullWord(tiny, p, wi); got != want {
+			t.Fatalf("tiny cache: word (%d,%d) = %#x, want %#x", p, wi, got, want)
 		}
-		if got := big.TruthWord(p, wi); got != want {
-			t.Fatalf("big cache: TruthWord(%d,%d) = %#x, want %#x", p, wi, got, want)
+		if got := fullWord(big, p, wi); got != want {
+			t.Fatalf("big cache: word (%d,%d) = %#x, want %#x", p, wi, got, want)
 		}
 	}
 }
@@ -238,8 +248,8 @@ func TestLazyConcurrentProbes(t *testing.T) {
 			order := xrand.New(uint64(g) + 100)
 			for i := 0; i < 3000; i++ {
 				p, wi := order.Intn(n), order.Intn((m+63)/64)
-				if got, want := src.TruthWord(p, wi), oracle.TruthWord(p, wi); got != want {
-					done <- fmt.Errorf("goroutine %d: TruthWord(%d,%d) = %#x, want %#x", g, p, wi, got, want)
+				if got, want := fullWord(src, p, wi), fullWord(oracle, p, wi); got != want {
+					done <- fmt.Errorf("goroutine %d: word (%d,%d) = %#x, want %#x", g, p, wi, got, want)
 					return
 				}
 			}
@@ -260,7 +270,7 @@ func TestLazyWordTailMasking(t *testing.T) {
 	src := LazyUniform(xrand.New(3), n, m, 0).Source()
 	var mask uint64 = (1 << (m % 64)) - 1
 	for p := 0; p < n; p++ {
-		if w := src.TruthWord(p, 1); w&^mask != 0 {
+		if w := fullWord(src, p, 1); w&^mask != 0 {
 			t.Fatalf("row %d: tail word %#x has bits past object %d", p, w, m)
 		}
 	}
@@ -274,10 +284,10 @@ func TestLazyWordPanicsLikeDense(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("TruthWord(0,%d) did not panic", wi)
+					t.Fatalf("word (0,%d) did not panic", wi)
 				}
 			}()
-			src.TruthWord(0, wi)
+			fullWord(src, 0, wi)
 		}()
 	}
 }
@@ -365,7 +375,7 @@ func FuzzTruthSpec(f *testing.F) {
 }
 
 // TestLazyTileCacheSteadyStateAllocFree: once every tile of a row's working
-// set is cached, TruthWord reads are pure cache hits and must not allocate.
+// set is cached, word reads are pure cache hits and must not allocate.
 func TestLazyTileCacheSteadyStateAllocFree(t *testing.T) {
 	const n, m, tiles = 4, 2048, 64 // 2 tiles per row, 8 tiles total — all fit
 	in := LazyDiameterClusters(xrand.New(6), n, m, 2, 8, tiles)
@@ -374,16 +384,16 @@ func TestLazyTileCacheSteadyStateAllocFree(t *testing.T) {
 	var warm uint64
 	for p := 0; p < n; p++ {
 		for wi := 0; wi < words; wi++ {
-			warm ^= src.TruthWord(p, wi)
+			warm ^= fullWord(src, p, wi)
 		}
 	}
 	var sink uint64
 	i := 0
 	if got := testing.AllocsPerRun(200, func() {
-		sink ^= src.TruthWord(i%n, (i/n)%words)
+		sink ^= fullWord(src, i%n, (i/n)%words)
 		i++
 	}); got != 0 {
-		t.Fatalf("warm tile-cache TruthWord allocates %v times per run", got)
+		t.Fatalf("warm tile-cache word read allocates %v times per run", got)
 	}
 	_ = warm + sink
 }

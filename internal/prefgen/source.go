@@ -19,19 +19,19 @@ import (
 
 // TruthSource is the pluggable representation of a hidden preference
 // matrix: n players × m objects of binary truth, addressed by (player,
-// object word). Implementations must be pure — the same cell always reads
-// the same bit — and safe for concurrent readers, because probe paths fan
-// out across phase goroutines. Word reads mask bits past the last object
-// to zero, mirroring bitvec.Vector.Word.
+// object word, bit mask). Implementations must be pure — the same cell
+// always reads the same bit — and safe for concurrent readers, because
+// probe paths fan out across phase goroutines.
 type TruthSource interface {
 	// Players returns n; Objects returns m.
 	Players() int
 	Objects() int
-	// TruthWord returns the 64 truth bits of player p's object word wi
-	// (objects wi·64 … wi·64+63; bits past Objects() are zero).
-	TruthWord(p, wi int) uint64
-	// TruthBit returns the single truth bit v(p)_o.
-	TruthBit(p, o int) bool
+	// TruthBits returns the truth bits of player p's object word wi
+	// (objects wi·64 … wi·64+63) selected by mask, and zero elsewhere —
+	// bits past Objects() included. Only the selected cells are read, so
+	// a one-bit probe of a lazy source hashes one coin, not 64. It panics
+	// if wi is out of range.
+	TruthBits(p, wi int, mask uint64) uint64
 }
 
 // Dense is the materialized truth source: a wrapper over the generated
@@ -55,11 +55,8 @@ func (d *Dense) Objects() int {
 	return d.rows[0].Len()
 }
 
-// TruthWord returns word wi of row p.
-func (d *Dense) TruthWord(p, wi int) uint64 { return d.rows[p].Word(wi) }
-
-// TruthBit returns bit o of row p.
-func (d *Dense) TruthBit(p, o int) bool { return d.rows[p].Get(o) }
+// TruthBits returns word wi of row p masked by mask.
+func (d *Dense) TruthBits(p, wi int, mask uint64) uint64 { return d.rows[p].Word(wi) & mask }
 
 // Rows exposes the backing vectors (world fast paths and Renew reuse).
 func (d *Dense) Rows() []bitvec.Vector { return d.rows }
@@ -74,7 +71,7 @@ func Materialize(src TruthSource, p int) bitvec.Vector {
 	m := src.Objects()
 	v := bitvec.New(m)
 	for wi := 0; wi < (m+63)/64; wi++ {
-		v.SetWord(wi, src.TruthWord(p, wi))
+		v.SetWord(wi, src.TruthBits(p, wi, ^uint64(0)))
 	}
 	return v
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"collabscore/internal/adversary"
+	"collabscore/internal/bitvec"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -187,5 +188,47 @@ func TestDeterminism(t *testing.T) {
 	}
 	if sig() != sig() {
 		t.Fatal("nondeterministic outputs")
+	}
+}
+
+// TestSelectConcatAllocs: one honest player's select-and-concatenate step
+// — a Select per group with candidates, the ZeroRadius fallback for a
+// group without, and the set-bit scatter into the output — allocates only
+// the output vector.
+func TestSelectConcatAllocs(t *testing.T) {
+	const n, m, s = 4, 512, 4
+	rng := xrand.New(17)
+	in := prefgen.Uniform(rng.Split(1), n, m)
+	w := world.New(in.Truth)
+	const p = 2
+	truth := w.TruthVector(p)
+	groups := make([]group, s)
+	for g := range groups {
+		var positions []int
+		for j := g; j < m; j += s {
+			positions = append(positions, j)
+		}
+		own := truth.Gather(positions)
+		gr := group{positions: positions, objs: positions, outputs: make([]bitvec.Vector, n)}
+		gr.outputs[p] = own
+		if g > 0 { // group 0 has no supported candidate: fallback path
+			for k := 0; k < 5; k++ {
+				v := own.Clone()
+				for _, j := range rng.Sample(len(positions), 8*k) {
+					v.Flip(j)
+				}
+				gr.ui = append(gr.ui, v)
+			}
+		}
+		groups[g] = gr
+	}
+	repRng := rng.Split(2)
+	pr := Scaled(n).Sel
+	got := selectConcat(w, p, m, groups, 2, repRng, pr)
+	if d := got.Hamming(truth); d > 3*8 {
+		t.Fatalf("concatenated vector is %d from the truth", d)
+	}
+	if avg := testing.AllocsPerRun(50, func() { selectConcat(w, p, m, groups, 2, repRng, pr) }); avg != 1 {
+		t.Fatalf("select-and-concatenate allocates %.1f times per run, want 1 (the output)", avg)
 	}
 }

@@ -166,8 +166,8 @@ func TestLazyWorldMillionPlayers(t *testing.T) {
 				t.Fatalf("ProbeWord(%d,%d) unstable across probes", p, wi)
 			}
 			for b := 0; b < 64 && wi*64+b < m; b += 13 {
-				if src.TruthBit(p, wi*64+b) != (w1>>uint(b)&1 == 1) {
-					t.Fatalf("TruthBit(%d,%d) disagrees with its word", p, wi*64+b)
+				if (src.TruthBits(p, wi, 1<<uint(b)) != 0) != (w1>>uint(b)&1 == 1) {
+					t.Fatalf("truth bit (%d,%d) disagrees with its word", p, wi*64+b)
 				}
 			}
 		}

@@ -326,10 +326,7 @@ func (w *World) Probe(p, o int) bool {
 	if !w.memo(p).TestAndSet(o) {
 		w.probes[p].Add(1)
 	}
-	if w.truth != nil {
-		return w.truth[p].Get(o)
-	}
-	return w.src.TruthBit(p, o)
+	return w.PeekTruth(p, o)
 }
 
 // ProbeWords returns the number of 64-bit words spanning the object set:
@@ -354,7 +351,7 @@ func (w *World) ProbeWord(p, wi int, mask uint64) uint64 {
 	if w.truth != nil {
 		return w.truth[p].Word(wi) & mask
 	}
-	return w.src.TruthWord(p, wi) & mask
+	return w.src.TruthBits(p, wi, mask)
 }
 
 // wordMask returns the valid-bit mask for object word wi, panicking on an
@@ -374,42 +371,36 @@ func (w *World) wordMask(wi int) uint64 {
 // true preferences as a vector indexed like objs (bit j is the truth for
 // objs[j]). Runs of objects sharing a 64-bit word — the common case, since
 // protocol object lists are sorted — collapse into single ProbeWord calls,
-// and the only allocation is the returned vector. Probe charging is
-// identical to calling Probe per object.
+// whose returned truth bits fill the run's output bits; the only
+// allocation is the returned vector. Probe charging is identical to
+// calling Probe per object.
 func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
 	out := bitvec.New(len(objs))
-	curW := -1
+	curW, start := -1, 0
 	var curMask uint64
-	for _, o := range objs {
+	flush := func(end int) {
+		if curMask == 0 {
+			return
+		}
+		tw := w.ProbeWord(p, curW, curMask)
+		for j := start; j < end && tw != 0; j++ {
+			if tw>>(uint(objs[j])%64)&1 != 0 {
+				out.Set(j, true)
+			}
+		}
+	}
+	for j, o := range objs {
 		if o < 0 || o >= w.m {
 			panic(fmt.Sprintf("world: object %d out of range [0,%d)", o, w.m))
 		}
 		wi := o / 64
 		if wi != curW {
-			if curMask != 0 {
-				w.ProbeWord(p, curW, curMask)
-			}
-			curW, curMask = wi, 0
+			flush(j)
+			curW, curMask, start = wi, 0, j
 		}
 		curMask |= 1 << (uint(o) % 64)
 	}
-	if curMask != 0 {
-		w.ProbeWord(p, curW, curMask)
-	}
-	if w.truth != nil {
-		truth := w.truth[p]
-		for j, o := range objs {
-			if truth.Get(o) {
-				out.Set(j, true)
-			}
-		}
-		return out
-	}
-	for j, o := range objs {
-		if w.src.TruthBit(p, o) {
-			out.Set(j, true)
-		}
-	}
+	flush(len(objs))
 	return out
 }
 
@@ -420,7 +411,7 @@ func (w *World) PeekTruth(p, o int) bool {
 	if w.truth != nil {
 		return w.truth[p].Get(o)
 	}
-	return w.src.TruthBit(p, o)
+	return w.src.TruthBits(p, o/64, 1<<(uint(o)%64)) != 0
 }
 
 // TruthVector returns a copy of player p's full truth vector (measurement
@@ -524,7 +515,7 @@ func (w *World) HonestError(p int, out bitvec.Vector) int {
 	}
 	d := 0
 	for wi := 0; wi < w.words; wi++ {
-		d += bits.OnesCount64(w.src.TruthWord(p, wi) ^ out.Word(wi))
+		d += bits.OnesCount64(w.src.TruthBits(p, wi, ^uint64(0)) ^ out.Word(wi))
 	}
 	return d
 }

@@ -6,6 +6,8 @@ import (
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
+	"collabscore/internal/prefgen"
+	"collabscore/internal/xrand"
 )
 
 func twoByThree() *World {
@@ -371,6 +373,22 @@ func TestProbeVectorMatchesReportVector(t *testing.T) {
 		}
 		if bulkW.Probes(p) != bitW.Probes(p) {
 			t.Fatalf("p=%d: charges %d (bulk) vs %d (bit)", p, bulkW.Probes(p), bitW.Probes(p))
+		}
+	}
+}
+
+// TestProbeVectorAllocs: ProbeVector builds its output from the words
+// ProbeWord returns, on dense and lazy sources alike, so the returned
+// vector is its only allocation.
+func TestProbeVectorAllocs(t *testing.T) {
+	const n, m = 2, 700
+	objs := []int{5, 6, 7, 64, 65, 130, 2, 699, 131, 64, 400, 401}
+	for name, w := range map[string]*World{
+		"dense": New(randTruth(n, m, 9)),
+		"lazy":  NewFrom(prefgen.LazyUniform(xrand.New(9), n, m, 0).Source()),
+	} {
+		if got := testing.AllocsPerRun(50, func() { w.ProbeVector(1, objs) }); got != 1 {
+			t.Fatalf("%s: ProbeVector allocates %v times per run, want 1", name, got)
 		}
 	}
 }

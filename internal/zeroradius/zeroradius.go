@@ -254,25 +254,18 @@ const maxStackCands = 128
 
 // eliminate runs the probe-to-disambiguate loop of Figure 1 step 5 for one
 // player: while surviving candidates disagree somewhere, probe such an
-// object and drop the candidates that contradict the probe. Each probe
-// removes at least one candidate.
-//
-// Under an exact zero-radius assumption the player's own vector is always
-// among the survivors. In practice (SmallRadius feeds groups whose clusters
-// have diameter ≈1, not 0) the player may personally deviate from its
-// cluster's modal vector on a probed object, which would eliminate every
-// candidate. A probe that would empty the survivor set is therefore treated
-// as the player's own idiosyncrasy: the probe is charged but the survivors
-// are kept, minus one to guarantee progress.
+// object and drop the candidates that contradict the probe. Truth is
+// binary, so at a disagreement some survivor always matches the probe:
+// each probe removes at least one candidate and never all of them. (When
+// the player deviates from every candidate, as in SmallRadius groups whose
+// clusters have diameter ≈1 rather than 0, the loop still ends on a
+// best-effort survivor.)
 //
 // The survivors are candidate indices filtered in place in a stack buffer,
-// so the loop allocates nothing. The winner is the first survivor: every
-// probe leaves the survivors unanimous on the probed object (all agreeing
-// with the probe, or all contradicting it when none agreed), so all final
-// survivors agree equally well with every probe, and the first of them is
-// the best-agreeing survivor. The winner is returned as-is: candidate
-// vectors are shared, immutable inputs, and every downstream consumer only
-// reads them.
+// so the loop allocates nothing. The winner is the last survivor standing,
+// or the first of several identical ones; every survivor agrees with every
+// probe made. It is returned as-is: candidate vectors are shared,
+// immutable inputs, and every downstream consumer only reads them.
 func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
 	if len(objs) == 0 {
 		return bitvec.New(0)
@@ -304,12 +297,6 @@ func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.V
 				alive[k] = c
 				k++
 			}
-		}
-		if k == 0 {
-			// Own deviation from every candidate at j: keep the survivors
-			// minus one arbitrary loser to guarantee progress. (No matches
-			// means no in-place writes happened, so the prefix is intact.)
-			k = len(alive) - 1
 		}
 		alive = alive[:k]
 	}

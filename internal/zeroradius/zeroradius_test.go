@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"collabscore/internal/adversary"
+	"collabscore/internal/bitvec"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -231,5 +232,125 @@ func TestScaledParamsStillRecover(t *testing.T) {
 	frac, maxErr := exactFraction(t, w, in, b, 51, Scaled())
 	if frac < 0.99 {
 		t.Fatalf("scaled exact-recovery fraction %.3f (max err %d), want ≥0.99", frac, maxErr)
+	}
+}
+
+// eliminateOracle is the list-based elimination loop eliminate replaced:
+// it copies the survivors, records every probe in a map, and returns the
+// survivor agreeing best with the recorded probes.
+func eliminateOracle(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
+	if len(objs) == 0 {
+		return bitvec.New(0)
+	}
+	if len(cands) == 0 {
+		return bitvec.New(len(objs))
+	}
+	survivors := append([]bitvec.Vector(nil), cands...)
+	probed := map[int]bool{}
+	for len(survivors) > 1 {
+		j := -1
+		for _, v := range survivors[1:] {
+			if d := survivors[0].FirstDiff(v); d >= 0 {
+				j = d
+				break
+			}
+		}
+		if j < 0 {
+			break
+		}
+		truth := rc.Probe(p, objs[j])
+		probed[j] = truth
+		var next []bitvec.Vector
+		for _, c := range survivors {
+			if c.Get(j) == truth {
+				next = append(next, c)
+			}
+		}
+		if len(next) == 0 {
+			next = survivors[:len(survivors)-1]
+		}
+		survivors = next
+	}
+	best, bestScore := survivors[0], -1
+	for _, c := range survivors {
+		score := 0
+		for j, truth := range probed {
+			if c.Get(j) == truth {
+				score++
+			}
+		}
+		if score > bestScore {
+			best, bestScore = c, score
+		}
+	}
+	return best
+}
+
+// eliminateCands returns k candidates over objs for player p: near copies
+// of p's truth (a few flips each, so p's own vector is usually not among
+// them) and unrelated vectors, with duplicates.
+func eliminateCands(w *world.World, p int, objs []int, k int, rng *xrand.Stream) []bitvec.Vector {
+	truth := w.TruthVector(p).Gather(objs)
+	var cands []bitvec.Vector
+	for i := 0; i < k; i++ {
+		var v bitvec.Vector
+		switch i % 3 {
+		case 0:
+			v = truth.Clone()
+			for _, j := range rng.Sample(len(objs), 1+rng.Intn(3)) {
+				v.Flip(j)
+			}
+		case 1:
+			v = bitvec.New(len(objs))
+			for j := 0; j < len(objs); j++ {
+				v.Set(j, rng.Bool())
+			}
+		default:
+			v = cands[rng.Intn(len(cands))]
+		}
+		cands = append(cands, v)
+	}
+	return cands
+}
+
+// TestEliminateMatchesOracle: the index-filtering elimination returns the
+// same vector and charges the same probes as the list-based loop, for
+// candidate sets inside and past the stack buffer.
+func TestEliminateMatchesOracle(t *testing.T) {
+	const n, m = 8, 300
+	objs := make([]int, 0, m/2)
+	for o := 1; o < m; o += 2 {
+		objs = append(objs, o)
+	}
+	for trial := 0; trial < 60; trial++ {
+		rng := xrand.New(uint64(trial))
+		in := prefgen.Uniform(rng.Split(1), n, m)
+		wa, wb := world.New(in.Truth), world.New(in.Truth)
+		k := 1 + rng.Intn(2*maxStackCands)
+		cands := eliminateCands(wa, trial%n, objs, k, rng.Split(2))
+		p := trial % n
+		got := eliminate(world.NewRun(wa), p, objs, cands)
+		want := eliminateOracle(world.NewRun(wb), p, objs, cands)
+		if !got.Equal(want) {
+			t.Fatalf("trial %d (k=%d): eliminate chose a different vector", trial, k)
+		}
+		if wa.Probes(p) != wb.Probes(p) {
+			t.Fatalf("trial %d (k=%d): probes %d, oracle %d", trial, k, wa.Probes(p), wb.Probes(p))
+		}
+	}
+}
+
+// TestEliminateAllocFree: with the candidates inside its stack buffer,
+// eliminate allocates nothing.
+func TestEliminateAllocFree(t *testing.T) {
+	const n, m = 4, 512
+	rng := xrand.New(3)
+	in := prefgen.Uniform(rng.Split(1), n, m)
+	w := world.New(in.Truth)
+	rc := world.NewRun(w)
+	objs := identityObjs(m)
+	cands := eliminateCands(w, 1, objs, maxStackCands, rng.Split(2))
+	if avg := testing.AllocsPerRun(50, func() { eliminate(rc, 1, objs, cands) }); avg != 0 {
+		t.Fatalf("eliminate allocates %.1f times per run, want 0", avg)
 	}
 }
