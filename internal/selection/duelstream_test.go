@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"math/bits"
 	"testing"
 
 	"collabscore/internal/bitvec"
@@ -157,6 +158,40 @@ func TestDuelStreamAllocFree(t *testing.T) {
 				duelProbesStream(ctx, a, b, rng, budget)
 			}); avg != 0 {
 				t.Fatalf("%s duel at budget %d allocates %.1f times per run, want 0", name, budget, avg)
+			}
+		}
+	}
+}
+
+// TestSelectBitsMatchesStepping: selectBits picks exactly the set bits of
+// x whose ordinals are marked in r — the ones a walk over x's set bits in
+// ascending order would pick — for sparse, dense, and boundary words.
+func TestSelectBitsMatchesStepping(t *testing.T) {
+	rng := xrand.New(31)
+	words := []uint64{0, 1, 1 << 63, ^uint64(0), 0x8000000100000001, 0xff00ff00ff00ff00}
+	for i := 0; i < 2000; i++ {
+		words = append(words, rng.Uint64()&rng.Uint64()|rng.Uint64()&rng.Uint64())
+	}
+	for _, x := range words {
+		c := bits.OnesCount64(x)
+		for trial := 0; trial < 4; trial++ {
+			r := rng.Uint64()
+			if trial == 0 {
+				r = ^uint64(0)
+			}
+			if c < 64 {
+				r &= 1<<uint(c) - 1
+			}
+			var want uint64
+			k := 0
+			for y := x; y != 0; y &= y - 1 {
+				if r>>uint(k)&1 != 0 {
+					want |= y & -y
+				}
+				k++
+			}
+			if got := selectBits(x, r); got != want {
+				t.Fatalf("selectBits(%#x, %#x) = %#x, want %#x", x, r, got, want)
 			}
 		}
 	}

@@ -294,9 +294,10 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 			}
 			return agreeA, d
 		}
-		bp := wordProber{w: w, p: p, objs: ctx.objs, a: a, curW: -1}
+		bp := wordProber{w: w, p: p, objs: ctx.objs, curW: -1}
 		for wi := 0; wi < nw; wi++ {
-			bp.addWord(wi, a.Word(wi)^b.Word(wi))
+			aw := a.Word(wi)
+			bp.addWord(wi, aw^b.Word(wi), aw)
 		}
 		bp.flush()
 		return bp.agree, d
@@ -344,9 +345,10 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 		}
 		return agreeA, budget
 	}
-	bp := wordProber{w: w, p: p, objs: ctx.objs, a: a, curW: -1}
+	bp := wordProber{w: w, p: p, objs: ctx.objs, curW: -1}
 	for wi := 0; wi < nw && left > 0; wi++ {
-		x := a.Word(wi) ^ b.Word(wi)
+		aw := a.Word(wi)
+		x := aw ^ b.Word(wi)
 		if x == 0 {
 			continue
 		}
@@ -357,7 +359,7 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 			continue
 		}
 		left -= bits.OnesCount64(r)
-		bp.addWord(wi, selectBits(x, r))
+		bp.addWord(wi, selectBits(x, r), aw)
 	}
 	bp.flush()
 	return bp.agree, budget
@@ -414,71 +416,92 @@ func rankSlice(rb *[maxRankBitmap / 64]uint64, ranks []int, ri, seen int, x uint
 }
 
 // selectBits returns the set bits of x whose ordinal among x's set bits
-// (0 = lowest) is set in r, stepping through x's set bits once.
+// (0 = lowest) is set in r. Dense rank slices (a distance just above the
+// budget, or a small group's single word) step through x's set bits once,
+// branch-free; sparse ones find each sampled rank by a popcount-guided
+// descent (selectBit) instead of stepping over every lower set bit.
 func selectBits(x, r uint64) uint64 {
 	var mask uint64
-	for ; r != 0; r >>= 1 {
-		if r&1 != 0 {
-			mask |= x & -x
+	if 8*bits.OnesCount64(r) >= bits.Len64(r) {
+		for ; r != 0; r >>= 1 {
+			mask |= x & -x & -(r & 1)
+			x &= x - 1
 		}
-		x &= x - 1
+		return mask
+	}
+	for ; r != 0; r &= r - 1 {
+		mask |= selectBit(x, bits.TrailingZeros64(r))
 	}
 	return mask
 }
 
+// selectBit returns the k-th lowest set bit of x (k < popcount(x)) as a
+// one-bit mask: halve the search window by popcount down to a byte, then
+// step over at most 7 set bits.
+func selectBit(x uint64, k int) uint64 {
+	var off uint
+	if c := bits.OnesCount32(uint32(x)); k >= c {
+		k -= c
+		off = 32
+	}
+	if c := bits.OnesCount16(uint16(x >> off)); k >= c {
+		k -= c
+		off += 16
+	}
+	if c := bits.OnesCount8(uint8(x >> off)); k >= c {
+		k -= c
+		off += 8
+	}
+	y := x >> off
+	for ; k > 0; k-- {
+		y &= y - 1
+	}
+	return (y & -y) << off
+}
+
 // wordProber batches probes of a general (non-identity) object mapping:
 // consecutive candidate positions whose objects share a 64-bit world word
-// accumulate into one mask and fetch with a single ProbeWord. Pending
-// positions live in a fixed array, so the prober stays on the caller's
-// stack and the duel inner loop allocates nothing
+// accumulate into one probe mask, alongside the mask of those objects on
+// which candidate a holds a 1, and fetch with a single ProbeWord whose
+// agreements with a are one popcount. The prober is a few words on the
+// caller's stack, so the duel inner loop allocates nothing
 // (TestDuelStreamAllocFree).
 type wordProber struct {
 	w     *world.World
 	p     int
 	objs  []int
-	a     bitvec.Vector
 	curW  int
-	mask  uint64
-	pn    int
-	pjs   [64]int32
+	mask  uint64 // staged objects of world word curW
+	amask uint64 // the staged objects where a has a 1
 	agree int
 }
 
-// add stages candidate position j (ascending across calls) for probing.
-func (bp *wordProber) add(j int) {
-	o := bp.objs[j]
-	wi := o >> 6
-	if wi != bp.curW || bp.pn == len(bp.pjs) {
-		bp.flush()
-		bp.curW = wi
-	}
-	bp.mask |= 1 << (uint(o) & 63)
-	bp.pjs[bp.pn] = int32(j)
-	bp.pn++
-}
-
-// addWord stages every candidate position whose bit is set in mask within
-// candidate word wi (words ascending across calls).
-func (bp *wordProber) addWord(wi int, mask uint64) {
-	for ; mask != 0; mask &= mask - 1 {
-		bp.add(wi*64 + bits.TrailingZeros64(mask))
+// addWord stages every candidate position whose bit is set in sel within
+// candidate word wi (words ascending across calls); aw is a's word wi.
+func (bp *wordProber) addWord(wi int, sel, aw uint64) {
+	for ; sel != 0; sel &= sel - 1 {
+		k := uint(bits.TrailingZeros64(sel))
+		o := bp.objs[wi*64+int(k)]
+		bit := uint64(1) << (uint(o) & 63)
+		// A repeated object starts a new batch, so it counts once per
+		// position exactly as bit-at-a-time probing does.
+		if o>>6 != bp.curW || bp.mask&bit != 0 {
+			bp.flush()
+			bp.curW = o >> 6
+		}
+		bp.mask |= bit
+		bp.amask |= bit & -(aw >> k & 1)
 	}
 }
 
 // flush probes the staged word in bulk and tallies agreements with a.
 func (bp *wordProber) flush() {
-	if bp.curW < 0 {
+	if bp.mask == 0 {
 		return
 	}
 	tw := bp.w.ProbeWord(bp.p, bp.curW, bp.mask)
-	for i := 0; i < bp.pn; i++ {
-		j := int(bp.pjs[i])
-		bit := uint(bp.objs[j]) & 63
-		if ((tw>>bit)&1 != 0) == bp.a.Get(j) {
-			bp.agree++
-		}
-	}
-	bp.curW, bp.mask, bp.pn = -1, 0, 0
+	bp.agree += bits.OnesCount64(^(tw ^ bp.amask) & bp.mask)
+	bp.mask, bp.amask = 0, 0
 }
 
 // Select is the diameter-bounded selection protocol used by SmallRadius:

@@ -377,15 +377,17 @@ func (w *World) wordMask(wi int) uint64 {
 func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
 	out := bitvec.New(len(objs))
 	curW, start := -1, 0
-	var curMask uint64
+	var curMask, acc uint64 // acc: output word of the current position
 	flush := func(end int) {
 		if curMask == 0 {
 			return
 		}
 		tw := w.ProbeWord(p, curW, curMask)
-		for j := start; j < end && tw != 0; j++ {
-			if tw>>(uint(objs[j])%64)&1 != 0 {
-				out.Set(j, true)
+		for j := start; j < end; j++ {
+			acc |= (tw >> (uint(objs[j]) % 64) & 1) << (uint(j) % 64)
+			if j%64 == 63 {
+				out.SetWord(j/64, acc)
+				acc = 0
 			}
 		}
 	}
@@ -401,6 +403,9 @@ func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
 		curMask |= 1 << (uint(o) % 64)
 	}
 	flush(len(objs))
+	if len(objs)%64 != 0 {
+		out.SetWord(len(objs)/64, acc)
+	}
 	return out
 }
 
