@@ -186,12 +186,12 @@ func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac 
 const maxPairBudget = 128
 
 // maxRankBitmap bounds the stack bitmap the streaming path draws Floyd's
-// ranks into: when the pair distance fits, membership is a bit test, the
-// ascending rank order is bit order, and each XOR word reads its slice of
-// rank bits in one shift — replacing the serial oracle's O(budget²)
-// rescan, its insertion sort and its per-rank restarted bit walk at every
-// budget. Larger distances keep a sorted rank list (still walked one XOR
-// word at a time).
+// ranks into at every budget: when the pair distance fits, membership is a
+// bit test and the ascending rank order is bit order, replacing the serial
+// oracle's O(budget²) rescan and its insertion sort. Larger distances keep
+// the oracle's bookkeeping (sortedFloydRanks). Either way each XOR word
+// then maps its slice of rank bits onto its set bits in one pass
+// (selectBits), replacing the oracle's restarted walk per rank.
 const maxRankBitmap = 4096
 
 // duelProbesSerial is the bit-at-a-time reference implementation of the
@@ -280,35 +280,36 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 	}
 	w, p := ctx.w, ctx.p
 	nw := a.Words()
+	bp := wordProber{w: w, p: p, objs: ctx.objs, curW: -1}
 	if d <= budget {
 		// Probe every differing position, a word-block at a time.
-		if ctx.ident {
-			for wi := 0; wi < nw; wi++ {
-				aw := a.Word(wi)
-				x := aw ^ b.Word(wi)
-				if x == 0 {
-					continue
-				}
-				tw := w.ProbeWord(p, wi, x)
-				agreeA += bits.OnesCount64(^(tw ^ aw) & x)
-			}
-			return agreeA, d
-		}
-		bp := wordProber{w: w, p: p, objs: ctx.objs, curW: -1}
 		for wi := 0; wi < nw; wi++ {
 			aw := a.Word(wi)
-			bp.addWord(wi, aw^b.Word(wi), aw)
+			x := aw ^ b.Word(wi)
+			if x == 0 {
+				continue
+			}
+			if ctx.ident {
+				tw := w.ProbeWord(p, wi, x)
+				agreeA += bits.OnesCount64(^(tw ^ aw) & x)
+			} else {
+				bp.addWord(wi, x, aw)
+			}
 		}
 		bp.flush()
-		return bp.agree, d
+		return agreeA + bp.agree, d
 	}
 	// Floyd's sample of budget distinct ranks in [0,d) — draw-for-draw the
 	// serial implementation's coins, so the chosen set is identical; only
-	// the bookkeeping differs. (Floyd's invariant makes the fallback value
-	// j always fresh: earlier draws were bounded by earlier, smaller j.)
-	var rb [maxRankBitmap / 64]uint64
-	var ranks []int
+	// the bookkeeping differs. When d fits the stack bitmap, membership is
+	// a bit test and reading the bitmap's set bits yields the ranks in
+	// ascending order, with no rescan and no sort. (Floyd's invariant makes
+	// the fallback value j always fresh: earlier draws were bounded by
+	// earlier, smaller j.)
+	var buf [maxPairBudget]int
+	ranks := buf[:0]
 	if d <= maxRankBitmap {
+		var rb [maxRankBitmap / 64]uint64
 		for j := d - budget; j < d; j++ {
 			t := rng.Intn(j + 1)
 			if rb[t>>6]>>(uint(t)&63)&1 == 1 {
@@ -316,60 +317,50 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 			}
 			rb[t>>6] |= 1 << (uint(t) & 63)
 		}
+		for i := 0; i < (d+63)/64; i++ {
+			for x := rb[i]; x != 0; x &= x - 1 {
+				ranks = append(ranks, i*64+bits.TrailingZeros64(x))
+			}
+		}
 	} else {
-		var buf [maxPairBudget]int
-		ranks = sortedFloydRanks(rng, d, budget, buf[:0])
+		ranks = sortedFloydRanks(rng, d, budget, ranks)
 	}
 	// Walk the XOR words once, as the serial path does. The set bits of
-	// word wi hold ranks [seen, seen+c); the sampled ones among them form
-	// the word's rank slice, which selectBits maps back onto positions, so
-	// every word's probes leave as one bulk fetch.
-	ri, seen, left := 0, 0, budget
-	if ctx.ident {
-		for wi := 0; wi < nw && left > 0; wi++ {
-			aw := a.Word(wi)
-			x := aw ^ b.Word(wi)
-			if x == 0 {
-				continue
-			}
-			var r uint64
-			r, ri = rankSlice(&rb, ranks, ri, seen, x)
-			seen += bits.OnesCount64(x)
-			if r == 0 {
-				continue
-			}
-			left -= bits.OnesCount64(r)
-			mask := selectBits(x, r)
-			tw := w.ProbeWord(p, wi, mask)
-			agreeA += bits.OnesCount64(^(tw ^ aw) & mask)
-		}
-		return agreeA, budget
-	}
-	bp := wordProber{w: w, p: p, objs: ctx.objs, curW: -1}
-	for wi := 0; wi < nw && left > 0; wi++ {
+	// word wi hold ranks [seen, seen+c); a word without a sampled rank
+	// costs one compare, and any other gathers its slice of rank bits,
+	// which selectBits maps back onto positions in one pass, so the word's
+	// probes leave as one bulk fetch.
+	ri, seen := 0, 0
+	for wi := 0; wi < nw && ri < len(ranks); wi++ {
 		aw := a.Word(wi)
 		x := aw ^ b.Word(wi)
-		if x == 0 {
+		c := bits.OnesCount64(x)
+		if ranks[ri]-seen >= c {
+			seen += c
 			continue
 		}
 		var r uint64
-		r, ri = rankSlice(&rb, ranks, ri, seen, x)
-		seen += bits.OnesCount64(x)
-		if r == 0 {
-			continue
+		for ; ri < len(ranks) && ranks[ri]-seen < c; ri++ {
+			r |= 1 << uint(ranks[ri]-seen)
 		}
-		left -= bits.OnesCount64(r)
-		bp.addWord(wi, selectBits(x, r), aw)
+		seen += c
+		sel := selectBits(x, r)
+		if ctx.ident {
+			tw := w.ProbeWord(p, wi, sel)
+			agreeA += bits.OnesCount64(^(tw ^ aw) & sel)
+		} else {
+			bp.addWord(wi, sel, aw)
+		}
 	}
 	bp.flush()
-	return bp.agree, budget
+	return agreeA + bp.agree, budget
 }
 
-// sortedFloydRanks is the serial oracle's rank bookkeeping for distances
-// past the stack bitmap: Floyd's sample with a linear membership rescan,
-// then an insertion sort into ascending order. The ranks are appended to
-// buf; budgets beyond its capacity grow it on the heap and are honored in
-// full.
+// sortedFloydRanks is the serial oracle's rank bookkeeping, which the
+// streaming path keeps for distances past the stack bitmap: Floyd's sample
+// with a linear membership rescan, then an insertion sort into ascending
+// order. The ranks are appended to buf; budgets beyond its capacity grow
+// it on the heap and are honored in full.
 func sortedFloydRanks(rng *xrand.Stream, d, budget int, buf []int) []int {
 	ranks := buf
 	for j := d - budget; j < d; j++ {
@@ -390,73 +381,28 @@ func sortedFloydRanks(rng *xrand.Stream, d, budget int, buf []int) []int {
 	return ranks
 }
 
-// rankSlice returns the sampled ranks among the set bits of XOR word x,
-// which hold ranks [seen, seen+popcount(x)), as a word whose bit k marks
-// x's k-th set bit (0 = lowest). A nil ranks list reads the slice straight
-// out of the rank bitmap rb; otherwise it consumes the sorted list from
-// index ri and returns the advanced index.
-func rankSlice(rb *[maxRankBitmap / 64]uint64, ranks []int, ri, seen int, x uint64) (uint64, int) {
-	c := bits.OnesCount64(x)
-	var r uint64
-	if ranks == nil {
-		i, off := seen>>6, uint(seen)&63
-		r = rb[i] >> off
-		if off != 0 && i+1 < len(rb) {
-			r |= rb[i+1] << (64 - off)
-		}
-		if c < 64 {
-			r &= 1<<uint(c) - 1
-		}
-		return r, ri
-	}
-	for ; ri < len(ranks) && ranks[ri]-seen < c; ri++ {
-		r |= 1 << uint(ranks[ri]-seen)
-	}
-	return r, ri
-}
-
 // selectBits returns the set bits of x whose ordinal among x's set bits
-// (0 = lowest) is set in r. Dense rank slices (a distance just above the
-// budget, or a small group's single word) step through x's set bits once,
-// branch-free; sparse ones find each sampled rank by a popcount-guided
-// descent (selectBit) instead of stepping over every lower set bit.
+// (0 = lowest) is set in r, stepping through x's set bits once, up to the
+// highest sampled ordinal. Dense rank slices (the budget a large share of
+// the distance) take the step branch-free; sparse ones skip from rank to
+// rank.
 func selectBits(x, r uint64) uint64 {
 	var mask uint64
-	if 8*bits.OnesCount64(r) >= bits.Len64(r) {
+	if 4*bits.OnesCount64(r) >= bits.Len64(r) {
 		for ; r != 0; r >>= 1 {
 			mask |= x & -x & -(r & 1)
 			x &= x - 1
 		}
 		return mask
 	}
+	skipped := 0
 	for ; r != 0; r &= r - 1 {
-		mask |= selectBit(x, bits.TrailingZeros64(r))
+		for k := bits.TrailingZeros64(r); skipped < k; skipped++ {
+			x &= x - 1
+		}
+		mask |= x & -x
 	}
 	return mask
-}
-
-// selectBit returns the k-th lowest set bit of x (k < popcount(x)) as a
-// one-bit mask: halve the search window by popcount down to a byte, then
-// step over at most 7 set bits.
-func selectBit(x uint64, k int) uint64 {
-	var off uint
-	if c := bits.OnesCount32(uint32(x)); k >= c {
-		k -= c
-		off = 32
-	}
-	if c := bits.OnesCount16(uint16(x >> off)); k >= c {
-		k -= c
-		off += 16
-	}
-	if c := bits.OnesCount8(uint8(x >> off)); k >= c {
-		k -= c
-		off += 8
-	}
-	y := x >> off
-	for ; k > 0; k-- {
-		y &= y - 1
-	}
-	return (y & -y) << off
 }
 
 // wordProber batches probes of a general (non-identity) object mapping:
