@@ -179,10 +179,12 @@ func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac 
 	return -1
 }
 
-// maxPairBudget is the size of the on-stack rank buffer. Budgets are
-// Θ(log n), so real configurations fit (it would take n ≈ e^21 players to
-// exceed it at the paper's SampleFactor 6); a configured budget beyond it
-// is honored in full via a heap buffer rather than silently truncated.
+// maxPairBudget is the size of the on-stack rank buffer (int32 ranks: a
+// rank is below the pair distance, itself below the candidate length).
+// Budgets are Θ(log n), so real configurations fit (it would take
+// n ≈ e^21 players to exceed it at the paper's SampleFactor 6); a
+// configured budget beyond it is honored in full via a heap buffer rather
+// than silently truncated.
 const maxPairBudget = 128
 
 // maxRankBitmap bounds the stack bitmap the streaming path draws Floyd's
@@ -227,7 +229,7 @@ func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng
 	// xrand.Stream.Sample(d, budget) draw for draw, in ascending rank (=
 	// ascending position) order, matching the sorted sample of the
 	// list-based implementation.
-	var buf [maxPairBudget]int
+	var buf [maxPairBudget]int32
 	ranks := sortedFloydRanks(rng, d, budget, buf[:0])
 	cnt := len(ranks)
 	// Walk the XOR words once, selecting the positions with the sampled
@@ -236,9 +238,9 @@ func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng
 	for wi := 0; wi < nw && ri < cnt; wi++ {
 		x := a.Word(wi) ^ b.Word(wi)
 		c := bits.OnesCount64(x)
-		for ri < cnt && ranks[ri]-seen < c {
+		for ri < cnt && int(ranks[ri])-seen < c {
 			y := x
-			for k := ranks[ri] - seen; k > 0; k-- {
+			for k := int(ranks[ri]) - seen; k > 0; k-- {
 				y &= y - 1
 			}
 			j := wi*64 + bits.TrailingZeros64(y)
@@ -306,7 +308,7 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 	// ascending order, with no rescan and no sort. (Floyd's invariant makes
 	// the fallback value j always fresh: earlier draws were bounded by
 	// earlier, smaller j.)
-	var buf [maxPairBudget]int
+	var buf [maxPairBudget]int32
 	ranks := buf[:0]
 	if d <= maxRankBitmap {
 		var rb [maxRankBitmap / 64]uint64
@@ -319,7 +321,7 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 		}
 		for i := 0; i < (d+63)/64; i++ {
 			for x := rb[i]; x != 0; x &= x - 1 {
-				ranks = append(ranks, i*64+bits.TrailingZeros64(x))
+				ranks = append(ranks, int32(i*64+bits.TrailingZeros64(x)))
 			}
 		}
 	} else {
@@ -335,13 +337,13 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 		aw := a.Word(wi)
 		x := aw ^ b.Word(wi)
 		c := bits.OnesCount64(x)
-		if ranks[ri]-seen >= c {
+		if int(ranks[ri])-seen >= c {
 			seen += c
 			continue
 		}
 		var r uint64
-		for ; ri < len(ranks) && ranks[ri]-seen < c; ri++ {
-			r |= 1 << uint(ranks[ri]-seen)
+		for ; ri < len(ranks) && int(ranks[ri])-seen < c; ri++ {
+			r |= 1 << uint(int(ranks[ri])-seen)
 		}
 		seen += c
 		sel := selectBits(x, r)
@@ -361,13 +363,13 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 // with a linear membership rescan, then an insertion sort into ascending
 // order. The ranks are appended to buf; budgets beyond its capacity grow
 // it on the heap and are honored in full.
-func sortedFloydRanks(rng *xrand.Stream, d, budget int, buf []int) []int {
+func sortedFloydRanks(rng *xrand.Stream, d, budget int, buf []int32) []int32 {
 	ranks := buf
 	for j := d - budget; j < d; j++ {
-		t := rng.Intn(j + 1)
+		t := int32(rng.Intn(j + 1))
 		for _, r := range ranks {
 			if r == t {
-				t = j
+				t = int32(j)
 				break
 			}
 		}

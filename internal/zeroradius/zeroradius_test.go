@@ -5,6 +5,7 @@ import (
 
 	"collabscore/internal/adversary"
 	"collabscore/internal/bitvec"
+	"collabscore/internal/par"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -352,5 +353,31 @@ func TestEliminateAllocFree(t *testing.T) {
 	cands := eliminateCands(w, 1, objs, maxStackCands, rng.Split(2))
 	if avg := testing.AllocsPerRun(50, func() { eliminate(rc, 1, objs, cands) }); avg != 0 {
 		t.Fatalf("eliminate allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestParallelMatchesSerial: the recursion's branches and per-player loops
+// share one player-indexed output slice without a lock; under eight
+// fixed workers (real interleavings even on one core; run with -race) the
+// outputs and probe charges equal the serial schedule's.
+func TestParallelMatchesSerial(t *testing.T) {
+	const n, m, b = 160, 300, 4
+	run := func(exec *par.Runner) ([]bitvec.Vector, *world.World) {
+		rng := xrand.New(19)
+		in := prefgen.DiameterClusters(rng.Split(1), n, m, n/b, 2)
+		w := world.New(in.Truth)
+		c := adversary.NewColluder(5, m)
+		adversary.Corrupt(w, n/(3*b), rng.Split(3).Perm(n), func(int) world.Behavior { return c })
+		return Run(world.NewRunOn(w, exec), allPlayers(n), identityObjs(m), b, rng.Split(2), Scaled()), w
+	}
+	ref, refW := run(par.Serial())
+	got, gotW := run(par.Fixed(8))
+	for p := 0; p < n; p++ {
+		if !got[p].Equal(ref[p]) {
+			t.Fatalf("player %d: parallel output differs from serial", p)
+		}
+		if gotW.Probes(p) != refW.Probes(p) {
+			t.Fatalf("player %d: probes %d, serial %d", p, gotW.Probes(p), refW.Probes(p))
+		}
 	}
 }
