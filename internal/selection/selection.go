@@ -264,13 +264,13 @@ func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng
 // with its own Probe (an atomic memo update and a truth read per bit), the
 // streaming walk accumulates every selected position of a word into a mask
 // and fetches it with a single bulk ProbeWord: one CAS, one masked truth
-// read, and one popcount compare for up to 64 objects. Sampled ranks live
-// in a stack bitmap (maxRankBitmap), so a word's selected positions come
-// from one rank-slice read and one pass over the word's set bits
-// (rankSlice, selectBits) rather than a restarted walk per rank. Identity object
-// mappings (the final selection) map candidate words straight onto world
-// words; general mappings batch runs of positions sharing a world word
-// (wordProber). Probe charging is identical bit for bit: ProbeWord charges
+// read, and one popcount compare for up to 64 objects. Sampled ranks are
+// drawn into a stack bitmap (maxRankBitmap), and a word's selected
+// positions come from one pass over the word's set bits (selectBits)
+// rather than a restarted walk per rank. Identity object mappings (the
+// final selection) map candidate words straight onto world words; general
+// mappings batch runs of positions sharing a world word (wordProber).
+// Probe charging is identical bit for bit: ProbeWord charges
 // exactly the newly learned objects of its mask, and the mask is exactly
 // the serial path's probe set. Coins are identical because the Floyd
 // sample below is draw-for-draw the serial one and no other branch

@@ -266,9 +266,7 @@ func selectConcat(w *world.World, p, numObjs int, groups []group, dGroup int, re
 		if len(res.ui) > 0 {
 			chosen = res.ui[selection.Select(w, p, res.objs, res.ui, dGroup, &selRng, pr)]
 		}
-		if chosen.Len() > 0 {
-			full.ScatterOnes(res.positions, chosen)
-		}
+		full.ScatterOnes(res.positions, chosen)
 	}
 	return full
 }
