@@ -397,3 +397,31 @@ func TestLazyTileCacheSteadyStateAllocFree(t *testing.T) {
 	}
 	_ = warm + sink
 }
+
+// TestDenseTruthBitsMasks: the dense source's masked read is its row word
+// under the mask, full words included, so both representations answer
+// TruthBits identically through the interface.
+func TestDenseTruthBitsMasks(t *testing.T) {
+	const n, m = 6, 150
+	in := Uniform(xrand.New(4), n, m)
+	var src TruthSource = in.Source()
+	lz := LazyUniform(xrand.New(4), n, m, 0).Source()
+	if src.Players() != n || src.Objects() != m {
+		t.Fatalf("dense source dims (%d,%d), want (%d,%d)", src.Players(), src.Objects(), n, m)
+	}
+	rng := xrand.New(5)
+	for i := 0; i < 300; i++ {
+		p, wi := rng.Intn(n), rng.Intn((m+63)/64)
+		mask := rng.Uint64()
+		if i%3 == 0 {
+			mask = ^uint64(0)
+		}
+		want := in.Truth[p].Word(wi) & mask
+		if got := src.TruthBits(p, wi, mask); got != want {
+			t.Fatalf("dense TruthBits(%d,%d,%#x) = %#x, want %#x", p, wi, mask, got, want)
+		}
+		if got := lz.TruthBits(p, wi, mask); got != want {
+			t.Fatalf("lazy TruthBits(%d,%d,%#x) = %#x, want %#x", p, wi, mask, got, want)
+		}
+	}
+}

@@ -316,7 +316,7 @@ func eliminateCands(w *world.World, p int, objs []int, k int, rng *xrand.Stream)
 
 // TestEliminateMatchesOracle: the index-filtering elimination returns the
 // same vector and charges the same probes as the list-based loop, for
-// candidate sets inside and past the stack buffer.
+// candidate sets inside and past the stack buffer and for empty inputs.
 func TestEliminateMatchesOracle(t *testing.T) {
 	const n, m = 8, 300
 	objs := make([]int, 0, m/2)
@@ -338,6 +338,17 @@ func TestEliminateMatchesOracle(t *testing.T) {
 		if wa.Probes(p) != wb.Probes(p) {
 			t.Fatalf("trial %d (k=%d): probes %d, oracle %d", trial, k, wa.Probes(p), wb.Probes(p))
 		}
+	}
+	// No candidates, or no objects: a zero vector of the object count.
+	w := world.New(prefgen.Uniform(xrand.New(1), n, m).Truth)
+	if got := eliminate(world.NewRun(w), 0, objs, nil); got.Len() != len(objs) || got.Count() != 0 {
+		t.Fatalf("no candidates: got %v, want the zero vector over %d objects", got, len(objs))
+	}
+	if got := eliminate(world.NewRun(w), 0, nil, []bitvec.Vector{bitvec.New(0)}); got.Len() != 0 {
+		t.Fatalf("no objects: got length %d, want 0", got.Len())
+	}
+	if w.Probes(0) != 0 {
+		t.Fatalf("degenerate eliminations charged %d probes", w.Probes(0))
 	}
 }
 
