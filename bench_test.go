@@ -280,34 +280,34 @@ func BenchmarkFullByzantine(b *testing.B) {
 	}
 }
 
-// BenchmarkRunByzantine measures the Byzantine wrapper under the four
-// schedule combinations of the two parallelism layers (DESIGN.md §9):
-// fully serial, repetition-parallel (PhaseSerial pins the inner loops),
-// phase-parallel (ByzSerial pins the outer loop), and both layers
-// concurrent (the default configuration). All four produce byte-identical
-// fixed-seed output; only wall clock differs. The k=8 matrix runs at
+// BenchmarkRunByzantine measures the Byzantine wrapper under the schedules
+// a run can take (DESIGN.md §9): fully serial (PhaseSerial: repetitions
+// and phase loops one at a time), two fixed phase workers (PhaseWorkers)
+// with concurrent repetitions, and both layers concurrent on every core
+// (the default configuration). All produce byte-identical fixed-seed
+// output; only wall clock differs. The k=8 matrix runs at
 // n ∈ {256, 1024, 4096} with tolerance-level corruption; the 1rep group is
 // the single-repetition workload (core.Run-like: FixedDiameter sweeps,
 // §8 extensions) where only phase-level parallelism can help. See
 // README.md for a recorded table and DESIGN.md §8 for methodology.
 func BenchmarkRunByzantine(b *testing.B) {
 	schedules := []struct {
-		name                   string
-		byzSerial, phaseSerial bool
+		name    string
+		serial  bool
+		workers int
 	}{
-		{"serial", true, true},
-		{"reps-parallel", false, true},
-		{"phases-parallel", true, false},
-		{"both-parallel", false, false},
+		{"serial", true, 0},
+		{"fixed2", false, 2},
+		{"both-parallel", false, 0},
 	}
-	run := func(b *testing.B, n, k int, byzSerial, phaseSerial bool) {
+	run := func(b *testing.B, n, k int, serial bool, workers int) {
 		for i := 0; i < b.N; i++ {
 			sim := collabscore.NewSimulation(collabscore.Config{Players: n, Budget: 8, Seed: uint64(i), FixedDiameter: n / 32})
 			sim.PlantClusters(n/8, n/32)
 			sim.Corrupt(sim.Tolerance(), collabscore.ClusterHijackers)
 			sim.Params().ByzIterations = k
-			sim.Params().ByzSerial = byzSerial
-			sim.Params().PhaseSerial = phaseSerial
+			sim.Params().PhaseSerial = serial
+			sim.Params().PhaseWorkers = workers
 			rep := sim.RunByzantine()
 			if i == b.N-1 {
 				b.ReportMetric(float64(rep.MaxError), "max_err")
@@ -318,7 +318,7 @@ func BenchmarkRunByzantine(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		for _, sc := range schedules {
 			b.Run(fmt.Sprintf("n=%d/%s", n, sc.name), func(b *testing.B) {
-				run(b, n, 8, sc.byzSerial, sc.phaseSerial)
+				run(b, n, 8, sc.serial, sc.workers)
 			})
 		}
 	}
@@ -329,7 +329,7 @@ func BenchmarkRunByzantine(b *testing.B) {
 		phaseSerial bool
 	}{{"phases-serial", true}, {"phases-parallel", false}} {
 		b.Run("1rep/n=1024/"+sc.name, func(b *testing.B) {
-			run(b, 1024, 1, true, sc.phaseSerial)
+			run(b, 1024, 1, sc.phaseSerial, 0)
 		})
 	}
 }

@@ -422,9 +422,9 @@ func (s *Simulation) Run() *Report {
 // leaders elected with Feige's lightest-bin protocol, then a final RSelect.
 // The repetitions execute concurrently across cores, and within each
 // repetition the protocol phases fan out over players and objects, with
-// byte-identical fixed-seed output to the serial schedules (set
-// Params().ByzSerial and/or Params().PhaseSerial for the single-threaded
-// references; see DESIGN.md §6 and §9).
+// byte-identical fixed-seed output to the serial schedule (set
+// Params().PhaseSerial for the single-threaded reference, which makes both
+// layers serial; see DESIGN.md §6 and §9).
 func (s *Simulation) RunByzantine() *Report {
 	s.w.ResetProbes()
 	res := core.RunByzantine(s.w, s.rng.Split(11), nil, s.params)

@@ -23,6 +23,7 @@ package budgets
 import (
 	"math"
 
+	"collabscore/internal/analysis"
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
 	"collabscore/internal/par"
@@ -60,13 +61,6 @@ type Params struct {
 	// byte-identical under every schedule.
 	PhaseSerial  bool
 	PhaseWorkers int
-
-	// PeelSerial forces the capacity peel onto the verbatim greedy loop
-	// (buildByCapacity) instead of the batched peel
-	// (cluster.BuildByWeightOn); the two are pinned byte-identical, so
-	// this mirrors core.Params.PeelSerial as a pure execution knob
-	// (DESIGN.md §17).
-	PeelSerial bool
 }
 
 // Scaled returns simulation-scale parameters with the given capacities.
@@ -136,10 +130,7 @@ func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
 	if len(pr.Capacity) != n {
 		panic("budgets: capacity vector must have one entry per player")
 	}
-	lnn := math.Log(float64(n))
-	if lnn < 1 {
-		lnn = 1
-	}
+	lnn := analysis.Ln(n)
 	red := int(math.Ceil(pr.RedundancyFactor * lnn))
 	if red < 3 {
 		red = 3
@@ -232,16 +223,8 @@ func runIteration(rc *world.Run, d, red int, lnn float64, shared *xrand.Stream, 
 
 	// Capacity-validated peeling: a seed player and its alive neighbors
 	// form a cluster only when their total capacity can absorb the work.
-	// The batched peel prescans the capacity sums on the run's executor;
-	// PeelSerial selects the verbatim greedy loop it is pinned
-	// byte-identical to.
 	needed := m * red // total probes the cluster must provide
-	var cl *cluster.Clustering
-	if pr.PeelSerial {
-		cl = buildByCapacity(g, pr.Capacity, needed)
-	} else {
-		cl = cluster.BuildByWeightOn(rc.Exec(), g, pr.Capacity, needed)
-	}
+	cl := buildByCapacity(g, pr.Capacity, needed)
 	res.NumClusters = len(cl.Clusters)
 	res.ClusterCapacity = res.ClusterCapacity[:0]
 	for _, members := range cl.Clusters {
@@ -313,9 +296,9 @@ func weightedPick(rng *xrand.Stream, cumWeights []int, total int) int {
 }
 
 // buildByCapacity peels clusters like §6.5 but admits a seed's neighborhood
-// as a cluster only when its total capacity reaches needed. It is the
-// verbatim serial reference the batched cluster.BuildByWeightOn is pinned
-// byte-identical to (Params.PeelSerial selects it).
+// as a cluster only when its total capacity reaches needed. It is the only
+// weighted peel; with unit capacities and needed = minSize it is exactly
+// cluster.Build (TestBuildByCapacityUnitMatchesBuild).
 func buildByCapacity(g cluster.Graph, capacity []int, needed int) *cluster.Clustering {
 	n := g.N()
 	alive := make([]bool, n)

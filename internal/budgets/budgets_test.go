@@ -376,3 +376,20 @@ func TestLSHScheduleMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestGuessRangeSelectsAccurateCandidate: over a range of diameter guesses
+// around the planted one, every honest player's spot check must pick a
+// candidate as accurate as a run pinned to the planted guess is required
+// to be — the wrong guesses' candidates must not win.
+func TestGuessRangeSelectsAccurateCandidate(t *testing.T) {
+	const n, d = 256, 16
+	rng := xrand.New(41)
+	in := prefgen.DiameterClusters(rng.Split(1), n, n, 32, d)
+	w := world.New(in.Truth)
+	pr := Scaled(n, Uniform(n, 128))
+	pr.MinD, pr.MaxD = d/4, 4*d
+	res := Run(w, rng.Split(2), pr)
+	if es := metrics.Error(w, res.Output); es.Max > 2*d {
+		t.Fatalf("max error %d > %d over guesses %d..%d", es.Max, 2*d, pr.MinD, pr.MaxD)
+	}
+}

@@ -94,21 +94,6 @@ func (g *CSRGraph) AppendLiveNeighbors(dst []int, p int, alive bitvec.Vector) []
 	return dst
 }
 
-// markLive marks p's surviving neighbors with ids in [wLo·64, wHi·64) in
-// dst — the batched peel's dirty marking (see liveMarker), as a contiguous
-// row scan. Rows are sorted ascending, so the scan stops at the range end.
-func (g *CSRGraph) markLive(dst bitvec.Vector, p int, alive bitvec.Vector, wLo, wHi int) {
-	lo, hi := int32(wLo*64), int32(wHi*64)
-	for _, q := range g.row(p) {
-		if q >= hi {
-			return
-		}
-		if q >= lo && alive.Get(int(q)) {
-			dst.Set(int(q), true)
-		}
-	}
-}
-
 // graphSink is the construction seam between edge producers and graph
 // representations: producers discover pairs p < q within threshold (in
 // whatever order their schedule yields) and flush them in batches; finish
@@ -185,8 +170,9 @@ func (b *csrBuilder) finish(exec *par.Runner) Graph { return b.buildOn(exec) }
 // fresh, exactly-sized targets slice (rows cannot be compacted left in
 // place concurrently: a row's destination overlaps its left neighbor's
 // source). Sorting and deduplication make each row a pure function of its
-// edge multiset, so the graph is byte-identical to the serial build()
-// under every schedule (TestCSRFinishMatchesSerial pins it).
+// edge multiset, so the graph is byte-identical to the serial in-place
+// finish kept in the test files under every schedule
+// (TestCSRFinishMatchesSerial pins it).
 func (b *csrBuilder) buildOn(exec *par.Runner) *CSRGraph {
 	n := b.n
 	off := make([]int64, n+1)
@@ -236,61 +222,6 @@ func (b *csrBuilder) buildOn(exec *par.Runner) *CSRGraph {
 		copy(tgt[newOff[p]:newOff[p+1]], raw[off[p]:off[p]+newLen[p]])
 	})
 	return &CSRGraph{n: n, off: newOff, tgt: tgt}
-}
-
-// build is the serial reference finish the parallel buildOn is pinned
-// against: one pass sorts, dedups, and compacts rows left in place.
-func (b *csrBuilder) build() *CSRGraph {
-	n := b.n
-	off := make([]int64, n+1)
-	for _, e := range b.edges {
-		off[e[0]+1]++
-		off[e[1]+1]++
-	}
-	for p := 0; p < n; p++ {
-		off[p+1] += off[p]
-	}
-	tgt := make([]int32, off[n])
-	cur := make([]int64, n)
-	copy(cur, off[:n])
-	for _, e := range b.edges {
-		tgt[cur[e[0]]] = e[1]
-		cur[e[0]]++
-		tgt[cur[e[1]]] = e[0]
-		cur[e[1]]++
-	}
-	b.edges = nil // release the raw stream before the graph outlives us
-
-	// Sort and deduplicate each row in place. The write cursor w never
-	// passes the read position (compaction only shrinks rows), so the
-	// compacted prefix of tgt can be rebuilt while the tail is still being
-	// read.
-	var w int64
-	lo := int64(0)
-	for p := 0; p < n; p++ {
-		hi := off[p+1]
-		row := tgt[lo:hi]
-		slices.Sort(row)
-		off[p] = w
-		prev := int32(-1)
-		for _, q := range row {
-			if q != prev {
-				tgt[w] = q
-				w++
-				prev = q
-			}
-		}
-		lo = hi
-	}
-	off[n] = w
-	if w <= int64(len(tgt))-int64(len(tgt))/8 {
-		// Heavy duplication: reallocate to the compact size rather than
-		// retaining the oversized backing array for the graph's lifetime.
-		tgt = append(make([]int32, 0, w), tgt[:w]...)
-	} else {
-		tgt = tgt[:w]
-	}
-	return &CSRGraph{n: n, off: off, tgt: tgt}
 }
 
 // sinkFlushAt bounds producers' per-worker edge buffers: big enough to

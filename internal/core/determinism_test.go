@@ -44,10 +44,31 @@ func equalOutputs(a, b []bitvec.Vector) bool {
 	return true
 }
 
-// TestByzantineParallelMatchesSerial asserts that the concurrent repetition
-// schedule produces byte-identical output, leader tallies, and board
-// traffic to the single-threaded reference schedule for fixed seeds — with
-// and without Pub-observing adversaries, at small and medium n.
+// schedule is one point of the schedule matrix the determinism tests
+// sweep.
+type schedule struct {
+	name    string
+	serial  bool // Params.PhaseSerial
+	workers int  // Params.PhaseWorkers
+}
+
+// schedules is every schedule a run can take: the fully serial reference
+// (repetitions and phases), a fixed phase width that forces real goroutine
+// interleavings even on one core, and the default.
+var schedules = []schedule{{"serial", true, 0}, {"fixed3", false, 3}, {"default", false, 0}}
+
+// apply sets pr's schedule fields to sc.
+func (sc schedule) apply(pr Params) Params {
+	pr.PhaseSerial = sc.serial
+	pr.PhaseWorkers = sc.workers
+	return pr
+}
+
+// TestByzantineParallelMatchesSerial asserts that the default concurrent
+// schedule (repetitions and phases) produces byte-identical output, leader
+// tallies, and board traffic to the single-threaded reference schedule for
+// fixed seeds — with and without Pub-observing adversaries, at small and
+// medium n.
 func TestByzantineParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{64, 512} {
 		for _, corrupt := range []bool{false, true} {
@@ -58,7 +79,7 @@ func TestByzantineParallelMatchesSerial(t *testing.T) {
 			pr.ByzIterations = 8
 
 			serial := pr
-			serial.ByzSerial = true
+			serial.PhaseSerial = true
 			refW := byzWorld(seed, n, b, corrupt)
 			ref := RunByzantine(refW, xrand.New(seed).Split(11), nil, serial)
 
@@ -149,21 +170,18 @@ func TestPhaseParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestScheduleMatrixMatches runs the full Byzantine wrapper under all four
-// schedule combinations (repetitions × phases, serial × parallel) and
-// requires byte-identical results: the two parallelism layers must compose
-// without affecting any output.
+// TestScheduleMatrixMatches runs the full Byzantine wrapper under every
+// schedule and requires byte-identical results: concurrent repetitions and
+// phase loops, at any width, must compose without affecting any output.
 func TestScheduleMatrixMatches(t *testing.T) {
 	const n, b = 64, 8
 	const seed = 77
-	type schedule struct{ byzSerial, phaseSerial bool }
 	var ref *Result
 	var refW *world.World
-	for _, sc := range []schedule{{true, true}, {true, false}, {false, true}, {false, false}} {
+	for _, sc := range schedules {
 		pr := Scaled(n, b)
 		pr.ByzIterations = 6
-		pr.ByzSerial = sc.byzSerial
-		pr.PhaseSerial = sc.phaseSerial
+		pr = sc.apply(pr)
 		w := byzWorld(seed, n, b, true)
 		res := RunByzantine(w, xrand.New(seed).Split(11), nil, pr)
 		if ref == nil {
@@ -171,15 +189,15 @@ func TestScheduleMatrixMatches(t *testing.T) {
 			continue
 		}
 		if !equalOutputs(ref.Output, res.Output) {
-			t.Fatalf("schedule %+v: output differs from fully-serial reference", sc)
+			t.Fatalf("schedule %s: output differs from fully-serial reference", sc.name)
 		}
 		if ref.HonestLeaders != res.HonestLeaders || ref.BoardWrites != res.BoardWrites ||
 			ref.BoardReads != res.BoardReads {
-			t.Fatalf("schedule %+v: counters differ from fully-serial reference", sc)
+			t.Fatalf("schedule %s: counters differ from fully-serial reference", sc.name)
 		}
 		for p := 0; p < n; p++ {
 			if refW.Probes(p) != w.Probes(p) {
-				t.Fatalf("schedule %+v: player %d probes differ", sc, p)
+				t.Fatalf("schedule %s: player %d probes differ", sc.name, p)
 			}
 		}
 	}

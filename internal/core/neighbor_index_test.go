@@ -110,20 +110,18 @@ func TestNeighborIndexSparseMatchesDense(t *testing.T) {
 }
 
 // TestLSHScheduleMatrixMatches gives the LSH path the same schedule-matrix
-// treatment as the default path: the full Byzantine wrapper under all four
-// repetition × phase schedule combinations must produce byte-identical
-// results with the banding index selected.
+// treatment as the default path: the full Byzantine wrapper under every
+// schedule must produce byte-identical results with the banding index
+// selected.
 func TestLSHScheduleMatrixMatches(t *testing.T) {
 	const n, b = 128, 8
 	const seed = 177
-	type schedule struct{ byzSerial, phaseSerial bool }
 	var ref *Result
 	var refW *world.World
-	for _, sc := range []schedule{{true, true}, {true, false}, {false, true}, {false, false}} {
+	for _, sc := range schedules {
 		pr := lshParams(n, b)
 		pr.ByzIterations = 6
-		pr.ByzSerial = sc.byzSerial
-		pr.PhaseSerial = sc.phaseSerial
+		pr = sc.apply(pr)
 		w := byzWorld(seed, n, b, true)
 		res := RunByzantine(w, xrand.New(seed).Split(11), nil, pr)
 		if ref == nil {
@@ -131,15 +129,15 @@ func TestLSHScheduleMatrixMatches(t *testing.T) {
 			continue
 		}
 		if !equalOutputs(ref.Output, res.Output) {
-			t.Fatalf("schedule %+v: LSH output differs from fully-serial reference", sc)
+			t.Fatalf("schedule %s: LSH output differs from fully-serial reference", sc.name)
 		}
 		if ref.HonestLeaders != res.HonestLeaders || ref.BoardWrites != res.BoardWrites ||
 			ref.BoardReads != res.BoardReads {
-			t.Fatalf("schedule %+v: LSH counters differ from fully-serial reference", sc)
+			t.Fatalf("schedule %s: LSH counters differ from fully-serial reference", sc.name)
 		}
 		for p := 0; p < n; p++ {
 			if refW.Probes(p) != w.Probes(p) {
-				t.Fatalf("schedule %+v: player %d probes differ", sc, p)
+				t.Fatalf("schedule %s: player %d probes differ", sc.name, p)
 			}
 		}
 	}

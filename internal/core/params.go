@@ -17,6 +17,7 @@ package core
 import (
 	"math"
 
+	"collabscore/internal/analysis"
 	"collabscore/internal/cluster"
 	"collabscore/internal/election"
 	"collabscore/internal/selection"
@@ -64,19 +65,16 @@ type Params struct {
 	// ByzIterations is the number of leader-election + full-protocol
 	// repetitions in the Byzantine wrapper (paper: Θ(log n)).
 	ByzIterations int
-	// ByzSerial forces the Byzantine repetitions to execute one after
-	// another instead of concurrently. The repetitions are independent and
-	// merged deterministically, so this only trades wall-clock time for a
-	// single-threaded schedule (reference runs, benchmarks, debugging).
-	ByzSerial bool
-	// PhaseSerial forces the intra-repetition protocol phases (the
-	// per-player, per-pair and per-object loops of SmallRadius, ZeroRadius,
-	// graph building and work sharing) onto the single-threaded reference
-	// schedule. Phase loops fan out on pre-split RNG streams with
-	// index-ordered merges, so fixed-seed output is byte-identical between
-	// the serial and parallel phase schedules (DESIGN.md §9;
-	// TestPhaseParallelMatchesSerial pins it). Set both ByzSerial and
-	// PhaseSerial for a fully single-threaded run.
+	// PhaseSerial makes the whole run single-threaded: the Byzantine
+	// repetitions execute one after another, and the protocol phases
+	// inside each (the per-player, per-pair and per-object loops of
+	// SmallRadius, ZeroRadius, graph building and work sharing) run on the
+	// serial reference schedule. Repetitions are independent and merged in
+	// order, and phase loops fan out on pre-split RNG streams with
+	// index-ordered merges, so fixed-seed output is byte-identical to the
+	// default concurrent schedule (DESIGN.md §9;
+	// TestPhaseParallelMatchesSerial and TestByzantineParallelMatchesSerial
+	// pin it).
 	PhaseSerial bool
 	// PhaseWorkers, when positive and PhaseSerial is unset, pins the phase
 	// loops to exactly that many worker goroutines (par.Fixed) instead of
@@ -85,21 +83,12 @@ type Params struct {
 	// to every other schedule (DESIGN.md §9).
 	PhaseWorkers int
 
-	// PeelSerial forces the clustering step's peel onto the verbatim
-	// one-at-a-time greedy loop (cluster.Build) instead of the batched
-	// peel that prescans candidate qualification on the run's executor
-	// (cluster.BuildOn, DESIGN.md §17). The two are pinned byte-identical
-	// on every graph, so like PhaseSerial this is a pure execution knob:
-	// it exists as the reference oracle for those pins and for
-	// benchmarking the batched peel against its predecessor.
-	PeelSerial bool
-
 	// NeighborIndex selects the neighbor-discovery implementation of the
 	// clustering step (1.d): the zero value is the exact all-pairs sweep —
 	// the reference oracle, byte-identical to the pre-seam behavior — and
 	// Kind "lsh" switches to the banding index (cluster.LSH), which misses
-	// a vanishing fraction of edges but never invents one. Like ByzSerial
-	// and PhaseSerial this is a pure execution knob at the parameter layer;
+	// a vanishing fraction of edges but never invents one. Like PhaseSerial
+	// this is a pure execution knob at the parameter layer;
 	// unlike them it may change output when non-default, which is why the
 	// sweep grid treats it as a paired-comparison axis (same seeds, same
 	// worlds, different index). Deterministic for a fixed seed and
@@ -152,19 +141,10 @@ func Scaled(n, b int) Params {
 	return p
 }
 
-// lnN returns ln(n) guarded away from zero for tiny n.
-func lnN(n int) float64 {
-	v := math.Log(float64(n))
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
 // SampleProb returns the per-object sample inclusion probability for
 // diameter guess d.
 func (pr Params) SampleProb(n, d int) float64 {
-	p := pr.SampleFactor * lnN(n) / float64(d)
+	p := pr.SampleFactor * analysis.Ln(n) / float64(d)
 	if p > 1 {
 		p = 1
 	}
@@ -173,17 +153,17 @@ func (pr Params) SampleProb(n, d int) float64 {
 
 // SampleDiameter returns the diameter bound used on the sample set.
 func (pr Params) SampleDiameter(n int) int {
-	return int(math.Ceil(pr.SampleDiamFactor * lnN(n)))
+	return int(math.Ceil(pr.SampleDiamFactor * analysis.Ln(n)))
 }
 
 // EdgeThreshold returns the neighbor-graph distance threshold.
 func (pr Params) EdgeThreshold(n int) int {
-	return int(math.Ceil(pr.EdgeFactor * lnN(n)))
+	return int(math.Ceil(pr.EdgeFactor * analysis.Ln(n)))
 }
 
 // Redundancy returns the number of probers assigned per (cluster, object).
 func (pr Params) Redundancy(n int) int {
-	r := int(math.Ceil(pr.RedundancyFactor * lnN(n)))
+	r := int(math.Ceil(pr.RedundancyFactor * analysis.Ln(n)))
 	if r < 3 {
 		r = 3
 	}
@@ -196,13 +176,7 @@ func (pr Params) Redundancy(n int) int {
 // the sample (§7.2), so the visible threshold is n/B − n/(3B) = 2n/(3B).
 // Cluster diameter guarantees come from the edge threshold, not the size,
 // and the workshare majority stays ≥2/3 honest exactly as Lemma 13 needs.
-func (pr Params) MinClusterSize(n int) int {
-	s := n/pr.B - n/(3*pr.B)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
+func (pr Params) MinClusterSize(n int) int { return analysis.VisibleClusterSize(n, pr.B) }
 
 // DiameterGuesses returns the list of diameter guesses the doubling loop
 // will try, honoring MinD/MaxD.
@@ -227,7 +201,7 @@ func (pr Params) DiameterGuesses(n int) []int {
 }
 
 // MaxDishonest returns the paper's dishonesty tolerance n/(3B) (§7.2).
-func (pr Params) MaxDishonest(n int) int { return n / (3 * pr.B) }
+func (pr Params) MaxDishonest(n int) int { return analysis.Tolerance(n, pr.B) }
 
 // SeparableDiameter returns the largest planted diameter the sampling
 // phase can separate at these constants, for clusters whose centers are

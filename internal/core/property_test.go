@@ -90,16 +90,6 @@ func TestPropertyProbeConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
-	type schedule struct {
-		byzSerial    bool
-		phaseSerial  bool
-		phaseWorkers int
-	}
-	schedules := []schedule{
-		{true, true, 0},   // serial reference
-		{true, false, 3},  // fixed-width phases
-		{false, false, 0}, // fully parallel
-	}
 	f := func(seed uint64, byzantine bool) bool {
 		rng := xrand.New(seed)
 		n := 64 + int(seed%3)*32
@@ -118,9 +108,7 @@ func TestPropertyProbeConservation(t *testing.T) {
 			})
 			pr := Scaled(n, b)
 			pr.MinD, pr.MaxD = d, d
-			pr.ByzSerial = sc.byzSerial
-			pr.PhaseSerial = sc.phaseSerial
-			pr.PhaseWorkers = sc.phaseWorkers
+			pr = sc.apply(pr)
 			if byzantine {
 				pr.ByzIterations = 3
 				RunByzantine(w, rng.Split(2), nil, pr)

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"collabscore/internal/analysis"
 	"collabscore/internal/bitvec"
 	"collabscore/internal/board"
 	"collabscore/internal/cluster"
@@ -123,7 +124,7 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 
 	// Easy case (§6.1): small diameter guesses run SmallRadius directly on
 	// the full object set.
-	if float64(d) < pr.SmallDThreshold*lnN(n) {
+	if float64(d) < pr.SmallDThreshold*analysis.Ln(n) {
 		stats.UsedFullSR = true
 		rc.Pub.Phase = "smallradius-full"
 		z := smallradius.Run(rc, allObjs, d, pr.B, shared.Split(0xF0), pr.SR)
@@ -159,17 +160,10 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 	// (exact block sweep by default, LSH banding when the knob is set; the
 	// index stream is split from the shared coins — a pure read of their
 	// state, so the default path consumes exactly the same coins as before
-	// the seam existed). The peel prescans candidate qualification on the
-	// run's executor (cluster.BuildOn); PeelSerial selects the verbatim
-	// greedy loop it is pinned byte-identical to.
+	// the seam existed), then the greedy peel.
 	start = time.Now()
 	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, pr.EdgeThreshold(n), shared.Split(0x5D))
-	var cl *cluster.Clustering
-	if pr.PeelSerial {
-		cl = cluster.Build(g, pr.MinClusterSize(n))
-	} else {
-		cl = cluster.BuildOn(rc.Exec(), g, pr.MinClusterSize(n))
-	}
+	cl := cluster.Build(g, pr.MinClusterSize(n))
 	rc.Pub.Clusters = cl.Clusters
 	stats.NumClusters = len(cl.Clusters)
 	stats.MinCluster = cl.MinClusterSize()
@@ -371,12 +365,12 @@ func RunTrivial(w *world.World) *Result {
 // vectors, truth-complement worst case, Hamming-distance RSelect. The
 // repetitions are mutually independent — each gets its own split RNG
 // streams, its own execution context (world.Run), and its own bulletin
-// boards — so they execute concurrently across cores unless pr.ByzSerial
-// is set; within each repetition the protocol phases fan out over players
-// and objects on the run's executor unless pr.PhaseSerial is set (the two
-// layers compose; DESIGN.md §9). Per-repetition statistics are merged in
-// repetition order, so the output and every counter are byte-identical to
-// the serial schedule for a fixed seed (stateful call-order-dependent
+// boards — so they execute concurrently across cores, and within each
+// repetition the protocol phases fan out over players and objects on the
+// run's executor; pr.PhaseSerial turns both layers serial at once
+// (DESIGN.md §9). Per-repetition statistics are merged in repetition
+// order, so the output and every counter are byte-identical to the serial
+// schedule for a fixed seed (stateful call-order-dependent
 // behaviors like adversary.Flipflopper being the one documented exception;
 // see DESIGN.md §6).
 //
@@ -393,7 +387,7 @@ func RunByzantine(w *world.World, trueRng *xrand.Stream, binStrategy election.Bi
 
 	output, reps := RunByzantineOver(w, trueRng, ByzProtocol[bitvec.Vector]{
 		Repetitions: k,
-		Serial:      pr.ByzSerial,
+		Serial:      pr.PhaseSerial,
 		Strategy:    binStrategy,
 		Election:    pr.Election,
 		RunRep: func(it int, shared *xrand.Stream, st *RepetitionStats) []bitvec.Vector {

@@ -38,11 +38,11 @@ package multival
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync/atomic"
 
+	"collabscore/internal/analysis"
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
 	"collabscore/internal/metrics"
@@ -511,24 +511,17 @@ type Params struct {
 	// MinD/MaxD restrict the diameter-doubling loop (L1 diameters).
 	MinD, MaxD int
 
-	// PhaseSerial forces the protocol's phase loops (publish, neighbor
-	// graph, median work-share, final selection) onto the single-threaded
-	// reference schedule; PhaseWorkers, when positive and PhaseSerial is
-	// unset, pins them to exactly that many workers (par.Fixed). Phase
-	// loops fan out on pre-split streams with index-ordered merges, so
-	// fixed-seed output is byte-identical under every schedule — the same
-	// contract as core.Params (DESIGN.md §9, §12).
+	// PhaseSerial makes the run single-threaded: the Byzantine wrapper's
+	// repetitions execute one after another, and the protocol's phase
+	// loops (publish, neighbor graph, median work-share, final selection)
+	// run on the serial reference schedule. PhaseWorkers, when positive
+	// and PhaseSerial is unset, pins the phase loops to exactly that many
+	// workers (par.Fixed). Phase loops fan out on pre-split streams with
+	// index-ordered merges and repetitions merge in order, so fixed-seed
+	// output is byte-identical under every schedule — the same contract as
+	// core.Params (DESIGN.md §9, §12).
 	PhaseSerial  bool
 	PhaseWorkers int
-	// ByzSerial forces the Byzantine wrapper's repetitions to execute one
-	// after another instead of concurrently, mirroring core.Params.
-	ByzSerial bool
-
-	// PeelSerial forces the clustering step's peel onto the verbatim
-	// greedy loop (cluster.Build) instead of the batched peel
-	// (cluster.BuildOn); the two are pinned byte-identical, mirroring
-	// core.Params.PeelSerial (DESIGN.md §17).
-	PeelSerial bool
 
 	// NeighborIndex selects the neighbor graph's representation
 	// ("+dense"/"+sparse"/"+auto"), mirroring core.Params.NeighborIndex.
@@ -571,11 +564,8 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 	}
 	n, m := w.N(), w.M()
 	exec := phaseExec(pr)
-	lnn := lnN(n)
-	minSize := n/pr.B - n/(3*pr.B)
-	if minSize < 1 {
-		minSize = 1
-	}
+	lnn := analysis.Ln(n)
+	minSize := analysis.VisibleClusterSize(n, pr.B)
 	res := &Result{}
 
 	lo, hi := pr.MinD, pr.MaxD
@@ -671,21 +661,15 @@ func runIteration(w *World, exec *par.Runner, d, minSize int, lnn float64, share
 	// binary path — block-partitioned over the executor, each pair's
 	// bit-sliced L1 computed once (the engine's private [][]int adjacency
 	// build computed every distance twice), filling the representation the
-	// NeighborIndex spec picks — and the peel is the shared batched one,
-	// with PeelSerial selecting the verbatim greedy loop. The scalar
-	// slice-of-slices peel this replaced survives in the tests as the
-	// reference oracle (TestGraphSeamMatchesScalarPeel).
+	// NeighborIndex spec picks — and the peel is the shared greedy one
+	// (cluster.Build). The scalar slice-of-slices peel this replaced
+	// survives as the reference oracle (TestGraphSeamMatchesScalarPeel).
 	threshold := int(pr.EdgeFactor * rate * float64(d))
 	if threshold < 1 {
 		threshold = 1
 	}
 	g := cluster.BuildGraphL1On(exec, published, threshold, pr.NeighborIndex.Rep())
-	var cl *cluster.Clustering
-	if pr.PeelSerial {
-		cl = cluster.Build(g, minSize)
-	} else {
-		cl = cluster.BuildOn(exec, g, minSize)
-	}
+	cl := cluster.Build(g, minSize)
 	res.NumClusters = append(res.NumClusters, len(cl.Clusters))
 
 	// Median work sharing over (cluster, word-block) cells — 64 objects per
@@ -846,69 +830,6 @@ func clampRating(r, scale int) int {
 	return r
 }
 
-// peel is the scalar §6.5 peeling over a plain adjacency list — the
-// engine's pre-seam clustering, kept as the reference oracle the
-// graph-seam path (BuildGraphL1On + cluster.Build/BuildOn) is pinned
-// byte-identical to (TestGraphSeamMatchesScalarPeel).
-func peel(adj [][]int, n, minSize int) *cluster.Clustering {
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	of := make([]int, n)
-	for i := range of {
-		of[i] = -1
-	}
-	var clusters [][]int
-	for {
-		found := -1
-		for p := 0; p < n; p++ {
-			if !alive[p] {
-				continue
-			}
-			deg := 0
-			for _, q := range adj[p] {
-				if alive[q] {
-					deg++
-				}
-			}
-			if deg >= minSize-1 {
-				found = p
-				break
-			}
-		}
-		if found < 0 {
-			break
-		}
-		members := []int{found}
-		for _, q := range adj[found] {
-			if alive[q] {
-				members = append(members, q)
-			}
-		}
-		j := len(clusters)
-		for _, q := range members {
-			alive[q] = false
-			of[q] = j
-		}
-		clusters = append(clusters, members)
-	}
-	for p := 0; p < n; p++ {
-		if !alive[p] {
-			continue
-		}
-		for _, q := range adj[p] {
-			if of[q] >= 0 {
-				of[p] = of[q]
-				clusters[of[q]] = append(clusters[of[q]], p)
-				alive[p] = false
-				break
-			}
-		}
-	}
-	return &cluster.Clustering{Clusters: clusters, Of: of}
-}
-
 // Errors returns per-honest-player L1 errors of the outputs, word-level.
 func Errors(w *World, out []bitvec.Planes) []int {
 	var errs []int
@@ -1066,14 +987,6 @@ type Inverter struct{}
 // Report returns the mirrored rating.
 func (Inverter) Report(w *World, p, o int) int {
 	return w.Scale() - w.PeekTruth(p, o)
-}
-
-func lnN(n int) float64 {
-	v := math.Log(float64(n))
-	if v < 1 {
-		v = 1
-	}
-	return v
 }
 
 func minInt(a, b int) int {

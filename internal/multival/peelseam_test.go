@@ -10,9 +10,9 @@ import (
 )
 
 // TestGraphSeamMatchesScalarPeel: the graph-seam clustering path the rating
-// engine now uses (cluster.BuildGraphL1On + cluster.Build / BuildOn) is
-// byte-identical to the scalar slice-of-slices adjacency build plus the
-// retained peel oracle, across representations and schedules (DESIGN.md §17).
+// engine uses (cluster.BuildGraphL1On + cluster.Build) is byte-identical to
+// the scalar slice-of-slices adjacency build plus the peel oracle below,
+// across representations and graph-build schedules (DESIGN.md §17).
 func TestGraphSeamMatchesScalarPeel(t *testing.T) {
 	execs := map[string]*par.Runner{
 		"serial":   par.Serial(),
@@ -41,75 +41,14 @@ func TestGraphSeamMatchesScalarPeel(t *testing.T) {
 					"dense": cluster.RepDense, "sparse": cluster.RepSparse,
 				} {
 					for ename, exec := range execs {
-						g := cluster.BuildGraphL1On(exec, rows, threshold, rep)
-						serial := cluster.Build(g, minSize)
-						batched := cluster.BuildOn(exec, g, minSize)
-						for path, got := range map[string]*cluster.Clustering{
-							"Build": serial, "BuildOn": batched,
-						} {
-							if !reflect.DeepEqual(got.Clusters, want.Clusters) ||
-								!reflect.DeepEqual(got.Of, want.Of) {
-								t.Fatalf("n=%d thr=%d min=%d %s/%s/%s: graph-seam clustering differs from scalar peel",
-									n, threshold, minSize, gname, ename, path)
-							}
+						got := cluster.Build(cluster.BuildGraphL1On(exec, rows, threshold, rep), minSize)
+						if !reflect.DeepEqual(got.Clusters, want.Clusters) ||
+							!reflect.DeepEqual(got.Of, want.Of) {
+							t.Fatalf("n=%d thr=%d min=%d %s/%s: graph-seam clustering differs from scalar peel",
+								n, threshold, minSize, gname, ename)
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestRatingPeelKnobMatrixMatches: the full rating protocol produces
-// byte-identical output and probe charges with the batched and the serial
-// peel, under every phase schedule and both graph representations.
-func TestRatingPeelKnobMatrixMatches(t *testing.T) {
-	const n, m, b, d, scale = 128, 128, 8, 16, 5
-	type cfg struct {
-		name         string
-		peelSerial   bool
-		phaseSerial  bool
-		phaseWorkers int
-		graph        string
-	}
-	var refOut []Ratings
-	var refProbes []int64
-	for _, c := range []cfg{
-		{"serial+peelserial", true, true, 0, ""},
-		{"serial+batched", false, true, 0, ""},
-		{"fixed3+batched", false, false, 3, ""},
-		{"parallel+batched", false, false, 0, ""},
-		{"parallel+batched+sparse", false, false, 0, "sparse"},
-		{"parallel+peelserial+sparse", true, false, 0, "sparse"},
-	} {
-		truth, _ := Generate(xrand.New(51), n, m, n/b, d, scale)
-		w := NewWorld(truth, scale)
-		corrupt(w, n/(3*b), xrand.New(52), func(p int) Behavior { return Exaggerator{} })
-		pr := Scaled(n, b)
-		pr.MinD, pr.MaxD = d, d
-		pr.PeelSerial = c.peelSerial
-		pr.PhaseSerial = c.phaseSerial
-		pr.PhaseWorkers = c.phaseWorkers
-		pr.NeighborIndex = cluster.IndexSpec{Graph: c.graph}
-		res := Run(w, xrand.New(53), pr)
-		out := make([]Ratings, n)
-		for p, row := range res.Output {
-			out[p] = Ratings(row.Ints())
-		}
-		probes := make([]int64, n)
-		for p := 0; p < n; p++ {
-			probes[p] = w.Probes(p)
-		}
-		if refOut == nil {
-			refOut, refProbes = out, probes
-			continue
-		}
-		for p := 0; p < n; p++ {
-			if out[p].L1(refOut[p]) != 0 {
-				t.Fatalf("%s: output for player %d differs from serial reference", c.name, p)
-			}
-			if probes[p] != refProbes[p] {
-				t.Fatalf("%s: probes for player %d differ: %d vs %d", c.name, p, probes[p], refProbes[p])
 			}
 		}
 	}
@@ -136,4 +75,67 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// peel is the scalar §6.5 peeling over a plain adjacency list — the
+// engine's pre-seam clustering, kept as the reference oracle the
+// graph-seam path (BuildGraphL1On + cluster.Build) is pinned
+// byte-identical to.
+func peel(adj [][]int, n, minSize int) *cluster.Clustering {
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	of := make([]int, n)
+	for i := range of {
+		of[i] = -1
+	}
+	var clusters [][]int
+	for {
+		found := -1
+		for p := 0; p < n; p++ {
+			if !alive[p] {
+				continue
+			}
+			deg := 0
+			for _, q := range adj[p] {
+				if alive[q] {
+					deg++
+				}
+			}
+			if deg >= minSize-1 {
+				found = p
+				break
+			}
+		}
+		if found < 0 {
+			break
+		}
+		members := []int{found}
+		for _, q := range adj[found] {
+			if alive[q] {
+				members = append(members, q)
+			}
+		}
+		j := len(clusters)
+		for _, q := range members {
+			alive[q] = false
+			of[q] = j
+		}
+		clusters = append(clusters, members)
+	}
+	for p := 0; p < n; p++ {
+		if !alive[p] {
+			continue
+		}
+		for _, q := range adj[p] {
+			if of[q] >= 0 {
+				of[p] = of[q]
+				clusters[of[q]] = append(clusters[of[q]], p)
+				alive[p] = false
+				break
+			}
+		}
+	}
+	return &cluster.Clustering{Clusters: clusters, Of: of}
 }

@@ -7,16 +7,16 @@ import (
 	"collabscore/internal/xrand"
 )
 
-// schedule matrix shared by the determinism and conservation properties.
+// schedule matrix shared by the determinism and conservation properties:
+// the fully serial reference, a fixed phase width, and the default.
 var ratingSchedules = []struct {
 	name         string
 	phaseSerial  bool
 	phaseWorkers int
-	byzSerial    bool
 }{
-	{"serial", true, 0, true},
-	{"fixed3", false, 3, true},
-	{"parallel", false, 0, false},
+	{"serial", true, 0},
+	{"fixed3", false, 3},
+	{"parallel", false, 0},
 }
 
 // TestRatingScheduleMatrixMatches: the vectorized rating protocol's
@@ -36,7 +36,6 @@ func TestRatingScheduleMatrixMatches(t *testing.T) {
 			pr.MinD, pr.MaxD = d, d
 			pr.PhaseSerial = sched.phaseSerial
 			pr.PhaseWorkers = sched.phaseWorkers
-			pr.ByzSerial = sched.byzSerial
 			var out []Ratings
 			if byz {
 				res := RunByzantine(w, xrand.New(53), nil, 3, pr)
@@ -95,7 +94,6 @@ func TestPropertyRatingProbeConservation(t *testing.T) {
 			pr.MinD, pr.MaxD = d, d
 			pr.PhaseSerial = sched.phaseSerial
 			pr.PhaseWorkers = sched.phaseWorkers
-			pr.ByzSerial = sched.byzSerial
 			if byzantine {
 				RunByzantine(w, rng.Split(2), nil, 3, pr)
 			} else {
@@ -207,7 +205,7 @@ func TestByzantineClusterReporting(t *testing.T) {
 		w := NewWorld(truth, scale)
 		pr := Scaled(n, b)
 		pr.MinD, pr.MaxD = d, d
-		pr.ByzSerial = serial
+		pr.PhaseSerial = serial
 		res := RunByzantine(w, xrand.New(65), nil, 3, pr)
 		if res.HonestLeaders != 3 {
 			t.Fatalf("honest world elected %d/3 honest leaders", res.HonestLeaders)

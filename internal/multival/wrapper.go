@@ -1,6 +1,7 @@
 package multival
 
 import (
+	"collabscore/internal/analysis"
 	"collabscore/internal/bitvec"
 	"collabscore/internal/core"
 	"collabscore/internal/election"
@@ -43,7 +44,7 @@ type ByzResult struct {
 // shared with the binary protocol (core.RunByzantineOver); this function
 // only supplies the rating-domain pieces — the bit-sliced repetition
 // runner, the mirrored worst case, and the L1 candidate-distance measure.
-// Repetitions execute concurrently unless pr.ByzSerial is set, with
+// Repetitions execute concurrently unless pr.PhaseSerial is set, with
 // deterministic repetition-order merges either way.
 func RunByzantine(w *World, trueRng *xrand.Stream, binStrategy election.BinStrategy, repetitions int, pr Params) *ByzResult {
 	n, m := w.N(), w.M()
@@ -51,11 +52,11 @@ func RunByzantine(w *World, trueRng *xrand.Stream, binStrategy election.BinStrat
 		repetitions = 1
 	}
 	res := &ByzResult{Repetitions: repetitions}
-	lnn := lnN(n)
+	lnn := analysis.Ln(n)
 
 	outputs, reps := core.RunByzantineOver(w, trueRng, core.ByzProtocol[bitvec.Planes]{
 		Repetitions: repetitions,
-		Serial:      pr.ByzSerial,
+		Serial:      pr.PhaseSerial,
 		Strategy:    binStrategy,
 		Election:    election.Defaults(),
 		RunRep: func(it int, shared *xrand.Stream, st *core.RepetitionStats) []bitvec.Planes {

@@ -9,8 +9,8 @@
 // Two parallelism layers use these primitives (DESIGN.md §9): the Byzantine
 // repetitions of core.RunByzantine fan out on the package-level For, while
 // the intra-repetition phase loops go through a Runner threaded on
-// world.Run, so a whole protocol execution can be pinned to the serial
-// reference schedule (core.Params.PhaseSerial) without touching its callers.
+// world.Run. One flag, core.Params.PhaseSerial, pins both layers to the
+// serial reference schedule without touching the protocol's callers.
 package par
 
 import (
@@ -45,7 +45,8 @@ func Parallel() *Runner { return &parallelRunner }
 // Serial returns the single-threaded reference executor: every loop runs
 // in index order on the calling goroutine. Fixed-seed protocol output under
 // Serial is byte-identical to any parallel schedule (DESIGN.md §9);
-// core.Params.PhaseSerial selects it for whole runs.
+// core.Params.PhaseSerial selects it for a run's phase loops and also runs
+// the Byzantine repetitions one after another.
 func Serial() *Runner { return &serialRunner }
 
 // Fixed returns an executor whose For/ForChunked loops use exactly the
@@ -61,10 +62,11 @@ func Fixed(workers int) *Runner {
 }
 
 // Sched resolves the schedule-flag pair every protocol Params carries
-// (PhaseSerial, PhaseWorkers — core, multival, budgets all expose the same
-// knobs; DESIGN.md §9) to an executor: the serial reference schedule when
-// serial is set, a fixed-width pool when workers > 0, the GOMAXPROCS
-// default otherwise.
+// (PhaseSerial, PhaseWorkers — core, multival and budgets expose the same
+// pair; DESIGN.md §9) to the phase-loop executor: the serial reference
+// schedule when serial is set, a fixed-width pool when workers > 0, the
+// GOMAXPROCS default otherwise. The repetition layer reads serial
+// directly (core.ByzProtocol.Serial).
 func Sched(serial bool, workers int) *Runner {
 	if serial {
 		return Serial()

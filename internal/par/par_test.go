@@ -208,3 +208,23 @@ func TestSerialForWorkerIsOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedResolvesFlags: the (PhaseSerial, PhaseWorkers) pair resolves to
+// the serial executor whenever serial is set, whatever workers says; to a
+// fixed pool of exactly workers goroutines when only workers is set (one
+// worker, or a width clamped up to one, is serial); and to the parallel
+// default otherwise.
+func TestSchedResolvesFlags(t *testing.T) {
+	if Sched(true, 0) != Serial() || Sched(true, 5) != Serial() {
+		t.Fatal("serial flag did not select the serial executor")
+	}
+	if r := Sched(false, 3); r.IsSerial() || r.workers != 3 {
+		t.Fatalf("Sched(false, 3) has %d workers, want 3", r.workers)
+	}
+	if !Sched(false, 1).IsSerial() || !Fixed(0).IsSerial() {
+		t.Fatal("a one-worker pool is not serial")
+	}
+	if Sched(false, 0) != Parallel() || Sched(false, -2) != Parallel() {
+		t.Fatal("unset flags did not select the parallel default")
+	}
+}

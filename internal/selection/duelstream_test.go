@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"collabscore/internal/bitvec"
+	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
 
@@ -64,10 +65,10 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 				wb := buildWorld(21, n, tc.worldM)
 				rs := xrand.New(77)
 				rb := xrand.New(77)
-				ctxS := duelCtx{w: ws, p: 0, objs: tc.objs, ident: identObjs(tc.objs), serial: true}
+				ctxS := duelCtx{w: ws, p: 0, objs: tc.objs, ident: identObjs(tc.objs)}
 				ctxB := duelCtx{w: wb, p: 0, objs: tc.objs, ident: identObjs(tc.objs)}
-				agreeS, totalS := duelProbes(&ctxS, a, b, rs, budget)
-				agreeB, totalB := duelProbes(&ctxB, a, b, rb, budget)
+				agreeS, totalS := duelProbesSerial(&ctxS, a, b, rs, budget)
+				agreeB, totalB := duelProbesStream(&ctxB, a, b, rb, budget)
 				if agreeS != agreeB || totalS != totalB {
 					t.Fatalf("%s/%s budget=%d: stream (%d,%d) != serial (%d,%d)",
 						tc.name, pb.name, budget, agreeB, totalB, agreeS, totalS)
@@ -103,10 +104,10 @@ func TestRSelectStreamMatchesSerial(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			cands = append(cands, flipped(truth, rng.Split(uint64(i)), 11*i*i))
 		}
-		serialPr := Scaled()
-		serialPr.DuelSerial = true
-		gotS := RSelect(ws, 2, objs, cands, xrand.New(55), serialPr)
-		gotB := RSelect(wb, 2, objs, cands, xrand.New(55), Scaled())
+		pr := Scaled()
+		gotS := knockout(cands, pr.EliminateFrac,
+			serialDuel(ws, 2, objs, xrand.New(55), pairBudget(pr.SampleFactor, ws.N())))
+		gotB := RSelect(wb, 2, objs, cands, xrand.New(55), pr)
 		if gotS != gotB {
 			t.Fatalf("RSelect winner: stream %d != serial %d", gotB, gotS)
 		}
@@ -116,8 +117,9 @@ func TestRSelectStreamMatchesSerial(t *testing.T) {
 		// Select (the champion tournament) over the same candidates.
 		ws2 := buildWorld(33, 6, worldM)
 		wb2 := buildWorld(33, 6, worldM)
-		gotS = Select(ws2, 2, objs, cands, 9, xrand.New(56), serialPr)
-		gotB = Select(wb2, 2, objs, cands, 9, xrand.New(56), Scaled())
+		gotS = champion(cands, pr.KeepWithin*9,
+			serialDuel(ws2, 2, objs, xrand.New(56), pairBudget(pr.SelectSampleFactor, ws2.N())))
+		gotB = Select(wb2, 2, objs, cands, 9, xrand.New(56), pr)
 		if gotS != gotB {
 			t.Fatalf("Select champion: stream %d != serial %d", gotB, gotS)
 		}
@@ -195,4 +197,72 @@ func TestSelectBitsMatchesStepping(t *testing.T) {
 			}
 		}
 	}
+}
+
+// serialDuel returns the reference duel for player p over objs, the
+// bit-at-a-time counterpart of the streaming closure RSelect and Select
+// hand their tournaments.
+func serialDuel(w *world.World, p int, objs []int, rng *xrand.Stream, budget int) duelFunc {
+	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
+	return func(a, b bitvec.Vector) (int, int) {
+		return duelProbesSerial(&ctx, a, b, rng, budget)
+	}
+}
+
+// duelProbesSerial is the bit-at-a-time reference implementation of the
+// duel probes, the byte-identity oracle for the streaming path. It probes up to budget objects on
+// which a and b differ — all of them when there are at most budget,
+// otherwise a uniform distinct sample — and returns how many probed
+// objects agreed with a, plus the number probed. The differing positions
+// stream directly from the XOR of the candidates' words, the sample ranks
+// are a sorted list (sortedFloydRanks), and every sampled position is
+// found by its own walk over its word's set bits. The rank sample is
+// Floyd's algorithm with the same draws xrand.Stream.Sample makes, so the
+// probed set is bit-for-bit the one the list-based implementation chose.
+func duelProbesSerial(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
+	w, p, objs := ctx.w, ctx.p, ctx.objs
+	d := a.Hamming(b)
+	if d == 0 {
+		return 0, 0
+	}
+	nw := a.Words()
+	if d <= budget {
+		// Probe every differing position.
+		for wi := 0; wi < nw; wi++ {
+			for x := a.Word(wi) ^ b.Word(wi); x != 0; x &= x - 1 {
+				j := wi*64 + bits.TrailingZeros64(x)
+				if w.Probe(p, objs[j]) == a.Get(j) {
+					agreeA++
+				}
+			}
+		}
+		return agreeA, d
+	}
+	// Floyd's sample of budget distinct ranks in [0,d), identical to
+	// xrand.Stream.Sample(d, budget) draw for draw, in ascending rank (=
+	// ascending position) order, matching the sorted sample of the
+	// list-based implementation.
+	var buf [maxPairBudget]int32
+	ranks := sortedFloydRanks(rng, d, budget, buf[:0])
+	cnt := len(ranks)
+	// Walk the XOR words once, selecting the positions with the sampled
+	// ranks among the set bits.
+	ri, seen := 0, 0
+	for wi := 0; wi < nw && ri < cnt; wi++ {
+		x := a.Word(wi) ^ b.Word(wi)
+		c := bits.OnesCount64(x)
+		for ri < cnt && int(ranks[ri])-seen < c {
+			y := x
+			for k := int(ranks[ri]) - seen; k > 0; k-- {
+				y &= y - 1
+			}
+			j := wi*64 + bits.TrailingZeros64(y)
+			if w.Probe(p, objs[j]) == a.Get(j) {
+				agreeA++
+			}
+			ri++
+		}
+		seen += c
+	}
+	return agreeA, cnt
 }

@@ -19,8 +19,9 @@
 // from XOR words, a sampled duel draws its Floyd ranks into a stack
 // bitmap and maps each XOR word's slice of rank bits onto that word's set
 // bits in one pass, and the selected objects leave as one bulk probe per
-// world word. The bit-at-a-time loop stays as the byte-identity oracle
-// behind Params.DuelSerial. Both functions take the read-only *world.World
+// world word. The bit-at-a-time loop the streaming duel is pinned against
+// lives in the test files, which run the tournaments on it through their
+// duelFunc parameter. Both functions take the read-only *world.World
 // rather than a *world.Run because they only probe (a player's private
 // act) and never publish protocol state.
 package selection
@@ -52,13 +53,6 @@ type Params struct {
 	// current champion is skipped — either is acceptable under the
 	// diameter promise.
 	KeepWithin int
-	// DuelSerial selects the bit-at-a-time reference implementation of the
-	// duel probes instead of the word-block streaming one. The two are
-	// pinned byte-identical — same coins, same probed objects, same
-	// charges, same verdicts (TestDuelStreamMatchesSerial) — so this knob
-	// exists purely as the oracle for those pins and for benchmarking the
-	// streaming path against its predecessor.
-	DuelSerial bool
 }
 
 // Defaults returns the paper's constants.
@@ -92,15 +86,25 @@ func pairBudget(factor float64, n int) int {
 //
 // RSelect returns -1 only if candidates is empty.
 func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng *xrand.Stream, pr Params) int {
-	k := len(candidates)
-	if k == 0 {
-		return -1
+	if len(candidates) < 2 {
+		return len(candidates) - 1 // -1 when empty, else the only candidate
 	}
-	if k == 1 {
-		return 0
-	}
+	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
 	budget := pairBudget(pr.SampleFactor, w.N())
-	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs), serial: pr.DuelSerial}
+	return knockout(candidates, pr.EliminateFrac, func(a, b bitvec.Vector) (int, int) {
+		return duelProbesStream(&ctx, a, b, rng, budget)
+	})
+}
+
+// duelFunc probes objects on which a and b differ and returns how many of
+// them agreed with a, plus the number probed. The tournaments take it as a
+// parameter so the test files can run them on the bit-at-a-time reference
+// duel; production passes the streaming one.
+type duelFunc func(a, b bitvec.Vector) (agreeA, total int)
+
+// knockout is RSelect's all-pairs tournament over at least two candidates.
+func knockout(candidates []bitvec.Vector, frac float64, probes duelFunc) int {
+	k := len(candidates)
 	alive := make([]bool, k)
 	for i := range alive {
 		alive[i] = true
@@ -113,7 +117,7 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 			if !alive[j] || !alive[i] {
 				continue
 			}
-			winner := duel(&ctx, candidates[i], candidates[j], rng, budget, pr.EliminateFrac)
+			winner := duel(probes, candidates[i], candidates[j], frac)
 			switch winner {
 			case 0: // i wins, j eliminated
 				alive[j] = false
@@ -130,16 +134,14 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 	return 0 // unreachable: a duel never eliminates both
 }
 
-// duelCtx carries one tournament's duel state: the prober's identity, the
-// object mapping (with its identity-ness precomputed once — an identity
-// mapping lets the streaming path probe whole aligned words), and the
-// serial-oracle knob.
+// duelCtx carries one tournament's duel state: the prober's identity and
+// the object mapping (with its identity-ness precomputed once — an
+// identity mapping lets the streaming path probe whole aligned words).
 type duelCtx struct {
-	w      *world.World
-	p      int
-	objs   []int
-	ident  bool
-	serial bool
+	w     *world.World
+	p     int
+	objs  []int
+	ident bool
 }
 
 // identObjs reports whether objs is the identity mapping (objs[j] == j) —
@@ -154,19 +156,10 @@ func identObjs(objs []int) bool {
 	return true
 }
 
-// duelProbes dispatches between the word-block streaming implementation
-// and the bit-at-a-time reference it is pinned against (Params.DuelSerial).
-func duelProbes(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
-	if ctx.serial {
-		return duelProbesSerial(ctx.w, ctx.p, ctx.objs, a, b, rng, budget)
-	}
-	return duelProbesStream(ctx, a, b, rng, budget)
-}
-
-// duel probes up to budget objects where a and b differ and returns
-// 0 if b should be eliminated, 1 if a should be eliminated, -1 to keep both.
-func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac float64) int {
-	agreeA, total := duelProbes(ctx, a, b, rng, budget)
+// duel runs one duel probe and returns 0 if b should be eliminated, 1 if a
+// should be eliminated, -1 to keep both.
+func duel(probes duelFunc, a, b bitvec.Vector, frac float64) int {
+	agreeA, total := probes(a, b)
 	if total == 0 {
 		return -1
 	}
@@ -196,67 +189,10 @@ const maxPairBudget = 128
 // (selectBits), replacing the oracle's restarted walk per rank.
 const maxRankBitmap = 4096
 
-// duelProbesSerial is the bit-at-a-time reference implementation of the
-// duel probes, kept as the byte-identity oracle for the streaming path
-// (Params.DuelSerial selects it). It probes up to budget objects on
-// which a and b differ — all of them when there are at most budget,
-// otherwise a uniform distinct sample — and returns how many probed
-// objects agreed with a, plus the number probed. The differing positions
-// stream directly from the XOR of the candidates' words, the sample ranks
-// are a sorted list (sortedFloydRanks), and every sampled position is
-// found by its own walk over its word's set bits. The rank sample is
-// Floyd's algorithm with the same draws xrand.Stream.Sample makes, so the
-// probed set is bit-for-bit the one the list-based implementation chose.
-func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
-	d := a.Hamming(b)
-	if d == 0 {
-		return 0, 0
-	}
-	nw := a.Words()
-	if d <= budget {
-		// Probe every differing position.
-		for wi := 0; wi < nw; wi++ {
-			for x := a.Word(wi) ^ b.Word(wi); x != 0; x &= x - 1 {
-				j := wi*64 + bits.TrailingZeros64(x)
-				if w.Probe(p, objs[j]) == a.Get(j) {
-					agreeA++
-				}
-			}
-		}
-		return agreeA, d
-	}
-	// Floyd's sample of budget distinct ranks in [0,d), identical to
-	// xrand.Stream.Sample(d, budget) draw for draw, in ascending rank (=
-	// ascending position) order, matching the sorted sample of the
-	// list-based implementation.
-	var buf [maxPairBudget]int32
-	ranks := sortedFloydRanks(rng, d, budget, buf[:0])
-	cnt := len(ranks)
-	// Walk the XOR words once, selecting the positions with the sampled
-	// ranks among the set bits.
-	ri, seen := 0, 0
-	for wi := 0; wi < nw && ri < cnt; wi++ {
-		x := a.Word(wi) ^ b.Word(wi)
-		c := bits.OnesCount64(x)
-		for ri < cnt && int(ranks[ri])-seen < c {
-			y := x
-			for k := int(ranks[ri]) - seen; k > 0; k-- {
-				y &= y - 1
-			}
-			j := wi*64 + bits.TrailingZeros64(y)
-			if w.Probe(p, objs[j]) == a.Get(j) {
-				agreeA++
-			}
-			ri++
-		}
-		seen += c
-	}
-	return agreeA, cnt
-}
-
 // duelProbesStream is the word-block streaming duel (DESIGN.md §17): the
-// same probed objects, coins, and charges as duelProbesSerial, restructured
-// so probes leave in 64-object blocks instead of one memo CAS per bit.
+// same probed objects, coins, and charges as the bit-at-a-time reference
+// in the test files, restructured so probes leave in 64-object blocks
+// instead of one memo CAS per bit.
 //
 // The pass structure mirrors the serial oracle exactly — the word-parallel
 // Hamming count that sizes the rank sample, then one early-exiting walk of
@@ -359,9 +295,9 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 }
 
 // sortedFloydRanks is the serial oracle's rank bookkeeping, which the
-// streaming path keeps for distances past the stack bitmap: Floyd's sample
-// with a linear membership rescan, then an insertion sort into ascending
-// order. The ranks are appended to buf; budgets beyond its capacity grow
+// streaming path keeps for distances past the stack bitmap (d > 4096):
+// Floyd's sample with a linear membership rescan, then an insertion sort
+// into ascending order. The ranks are appended to buf; budgets beyond its capacity grow
 // it on the heap and are honored in full.
 func sortedFloydRanks(rng *xrand.Stream, d, budget int, buf []int32) []int32 {
 	ranks := buf
@@ -468,35 +404,35 @@ func (bp *wordProber) flush() {
 //
 // Select returns -1 only if candidates is empty.
 func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int, rng *xrand.Stream, pr Params) int {
-	k := len(candidates)
-	if k == 0 {
-		return -1
+	if len(candidates) < 2 {
+		return len(candidates) - 1 // -1 when empty, else the only candidate
 	}
-	if k == 1 {
-		return 0
-	}
-	if d < 1 {
-		d = 1
-	}
+	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
 	budget := pairBudget(pr.SelectSampleFactor, w.N())
-	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs), serial: pr.DuelSerial}
-	near := pr.KeepWithin * d
+	return champion(candidates, pr.KeepWithin*max(d, 1), func(a, b bitvec.Vector) (int, int) {
+		return duelProbesStream(&ctx, a, b, rng, budget)
+	})
+}
+
+// champion is Select's linear champion tournament over at least two
+// candidates: challengers within near of the champion are skipped.
+func champion(candidates []bitvec.Vector, near int, probes duelFunc) int {
 	champ := 0
-	for i := 1; i < k; i++ {
+	for i := 1; i < len(candidates); i++ {
 		if candidates[champ].Hamming(candidates[i]) <= near {
 			continue // equally acceptable; keep the incumbent
 		}
-		if duelMajority(&ctx, candidates[champ], candidates[i], rng, budget) == 1 {
+		if duelMajority(probes, candidates[champ], candidates[i]) == 1 {
 			champ = i
 		}
 	}
 	return champ
 }
 
-// duelMajority probes up to budget differing objects and returns 0 if a
-// wins the majority, 1 if b does (ties to the incumbent a).
-func duelMajority(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) int {
-	agreeA, total := duelProbes(ctx, a, b, rng, budget)
+// duelMajority runs one duel probe and returns 0 if a wins the majority,
+// 1 if b does (ties to the incumbent a).
+func duelMajority(probes duelFunc, a, b bitvec.Vector) int {
+	agreeA, total := probes(a, b)
 	if total == 0 {
 		return 0
 	}

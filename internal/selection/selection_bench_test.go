@@ -7,8 +7,9 @@ import (
 	"collabscore/internal/xrand"
 )
 
-// BenchmarkRSelect compares the serial bit-at-a-time duel loop
-// (Params.DuelSerial) against the word-block streaming path on full
+// BenchmarkRSelect compares the serial bit-at-a-time duel loop (the
+// test-file oracle, duelProbesSerial) against the word-block streaming
+// path on full
 // tournaments, over the shapes the protocol actually runs:
 //
 //   - final4096: the final whole-vector selection — identity mapping over a
@@ -44,17 +45,16 @@ func BenchmarkRSelect(b *testing.B) {
 		for _, flips := range []int{0, 3, m / 64, m / 10, m / 6, m / 4, m / 3, m / 2} {
 			cands = append(cands, flipped(truth, rng.Split(uint64(flips)), flips))
 		}
-		for _, mode := range []struct {
-			name   string
-			serial bool
-		}{{"serial", true}, {"stream", false}} {
-			pr := sh.pr
-			pr.DuelSerial = mode.serial
-			b.Run(sh.name+"/"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					RSelect(w, 0, sh.objs, cands, xrand.New(55), pr)
-				}
-			})
-		}
+		budget := pairBudget(sh.pr.SampleFactor, w.N())
+		b.Run(sh.name+"/serial", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				knockout(cands, sh.pr.EliminateFrac, serialDuel(w, 0, sh.objs, xrand.New(55), budget))
+			}
+		})
+		b.Run(sh.name+"/stream", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RSelect(w, 0, sh.objs, cands, xrand.New(55), sh.pr)
+			}
+		})
 	}
 }

@@ -201,11 +201,14 @@ func TestDuelEliminatesFarCandidate(t *testing.T) {
 	far := truth.Clone().Not()
 	// truth vs its complement: truth must win every time.
 	ctx := duelCtx{w: w, p: 0, objs: objs, ident: true}
+	probes := func(rng *xrand.Stream) duelFunc {
+		return func(a, b bitvec.Vector) (int, int) { return duelProbesStream(&ctx, a, b, rng, 20) }
+	}
 	for i := 0; i < 10; i++ {
-		if duel(&ctx, truth, far, rng.Split(uint64(i)), 20, 2.0/3.0) != 0 {
+		if duel(probes(rng.Split(uint64(i))), truth, far, 2.0/3.0) != 0 {
 			t.Fatal("truth lost a duel against its complement")
 		}
-		if duel(&ctx, far, truth, rng.Split(uint64(i+50)), 20, 2.0/3.0) != 1 {
+		if duel(probes(rng.Split(uint64(i+50))), far, truth, 2.0/3.0) != 1 {
 			t.Fatal("complement won a duel against truth")
 		}
 	}
@@ -220,7 +223,9 @@ func TestDuelKeepsBothWhenAmbiguous(t *testing.T) {
 	objs := identityObjs(m)
 	truth := w.TruthVector(0)
 	ctx := duelCtx{w: w, p: 0, objs: objs, ident: true}
-	if duel(&ctx, truth, truth, xrand.New(18), 20, 2.0/3.0) != -1 {
+	rng := xrand.New(18)
+	probes := func(a, b bitvec.Vector) (int, int) { return duelProbesStream(&ctx, a, b, rng, 20) }
+	if duel(probes, truth, truth, 2.0/3.0) != -1 {
 		t.Fatal("identical candidates should be kept")
 	}
 }

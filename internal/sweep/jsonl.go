@@ -37,10 +37,9 @@ type Record struct {
 	CommWrites int64 `json:"comm_writes"`
 	CommReads  int64 `json:"comm_reads"`
 	// Rounds is the point's synchronous-round complexity under the §2
-	// round model (internal/rounds): each player performs exactly one
-	// probe per round, so the rounds a protocol needs equal the worst
-	// per-player probe count — the rounds axis every grid point carries
-	// for free.
+	// round model, in which each player performs exactly one probe per
+	// round. The rounds a protocol needs therefore equal the worst
+	// per-player probe count, so this column is MaxProbes by definition.
 	Rounds int64 `json:"rounds"`
 }
 

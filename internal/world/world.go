@@ -108,9 +108,9 @@ func (pub *Public) HasSample() bool { return pub.Sample != nil }
 //
 // A Run also carries the execution policy for its phase loops: protocol
 // packages schedule their per-player and per-object fan-out on Exec(), so
-// an entire run can be pinned to the single-threaded reference schedule
-// (core.Params.PhaseSerial → NewRunOn(w, par.Serial()); DESIGN.md §9)
-// without threading a flag through every protocol signature.
+// a run's phase loops can be pinned to the single-threaded reference
+// schedule (core.Params.PhaseSerial → NewRunOn(w, par.Serial()); DESIGN.md
+// §9) without threading a flag through every protocol signature.
 type Run struct {
 	*World
 	Pub Public
@@ -123,9 +123,10 @@ type Run struct {
 func NewRun(w *World) *Run { return &Run{World: w} }
 
 // NewRunOn creates a fresh execution context whose phase loops run under
-// the given executor (nil means parallel). Pass par.Serial() for the
-// deterministic reference schedule, or par.Fixed(k) to force k workers in
-// race tests.
+// the given executor (nil means parallel). Protocols derive it from their
+// PhaseSerial/PhaseWorkers pair with par.Sched: par.Serial() is the
+// deterministic reference schedule, par.Fixed(k) forces k workers in race
+// tests.
 func NewRunOn(w *World, exec *par.Runner) *Run { return &Run{World: w, exec: exec} }
 
 // Exec returns the executor protocol phases must schedule their loops on.
